@@ -533,23 +533,27 @@ def _gen_degenerate(rng, n, d):
 
 
 def _gen_regular(rng, n, d):
-    for _ in range(500):
-        stubs = [v for v in range(1, n + 1) for _ in range(d)]
-        rng.shuffle(stubs)
-        seen = set()
-        edges = []
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            key = (min(u, v), max(u, v))
-            if u == v or key in seen:
-                ok = False
-                break
-            seen.add(key)
-            edges.append(key)
-        if ok:
-            return GraphInstance(n, edges)
-    raise DomainError(f"could not realize a {d}-regular graph on {n} vertices")
+    """A random d-regular graph by degree-preserving double edge swaps
+    from the circulant joining v to v+1..v+d/2 (and to its antipode when
+    d is odd), so every feasible (n, d) succeeds without restarts."""
+    edge = lambda u, v: (u, v) if u < v else (v, u)
+    steps = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    edges = sorted({edge(v, (v + s) % n) for v in range(n) for s in steps})
+    present = set(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, e = e, c
+        new1, new2 = edge(a, e), edge(c, b)
+        if a == e or c == b or new1 == new2 or new1 in present or new2 in present:
+            continue
+        present -= {edges[i], edges[j]}
+        present |= {new1, new2}
+        edges[i], edges[j] = new1, new2
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return GraphInstance(n, [edge(label[u], label[v]) for u, v in edges])
 
 
 def _gen_tournament(rng, n):

@@ -230,7 +230,10 @@ def regular_ds_derand(g, d, meter=None):
     the dominating set W_f = S_f + (V minus N[S_f]) with
     S_f = {v : f(v) <= ceil(ln(d+1))}; the family average of |W_f| meets
     the n*(ln(d+1)+1)/(d+1) sampling bound, so the sweep's minimum does
-    too.  Ties break toward the lexicographically smallest (a, b).
+    too.  Ties break toward the lexicographically smallest (a, b).  A
+    member is scored by |S_f| + n - |N[S_f]|; the current and the best
+    member's S_f and N[S_f] are charged to the meter, and W_f is built
+    for the winner only.
 
     Parameters
     ----------
@@ -255,13 +258,21 @@ def regular_ds_derand(g, d, meter=None):
         return []
     t = max(1, math.ceil(math.log(d + 1)))
     best = None
-    for fn in cw_family(g.n, d + 1, meter):
+    for sampled in cw_family(g.n, d + 1, meter).preimages(t):
         meter.tick_pass()
-        sampled = {v for v in range(1, g.n + 1) if fn(v) <= t}
         covered = set(sampled)
         for v in sampled:
             covered.update(g.neighbors(v, meter))
-        w_f = sampled | {v for v in range(1, g.n + 1) if v not in covered}
-        if best is None or len(w_f) < len(best):
-            best = w_f
-    return sorted(best)
+        words = len(sampled) + len(covered)
+        meter.alloc(words)
+        size = len(sampled) + g.n - len(covered)
+        if best is None or size < best[0]:
+            if best is not None:
+                meter.release(best[3])
+            best = (size, sampled, covered, words)
+        else:
+            meter.release(words)
+    _, sampled, covered, words = best
+    w_f = sampled + [v for v in range(1, g.n + 1) if v not in covered]
+    meter.release(words)
+    return sorted(w_f)

@@ -8,8 +8,13 @@ scores each member by |S_f| minus the edges inside S_f; the best score
 lower-bounds the components of the induced subgraph, and picking the
 minimum vertex of every closed neighborhood turns components into an
 independent set of that size.
+
+Both sweeps only need each member's preimage of a short prefix {1..t} of
+the range, so ``HashFamily.preimages`` inverts the member on the few
+residues that land there instead of hashing every domain point.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -70,6 +75,29 @@ class HashFamily:
             for b in range(self.p):
                 yield HashFn(a, b, self.p, self.k)
 
+    def preimages(self, t):
+        """Yield, per member in ``__iter__`` order, the ascending list of
+        x in [1, n] with f_{a,b}(x) <= t.
+
+        f(x) <= t exactly when (a*x + b) mod p is one of the residues r
+        with r mod k < t, i.e. when x = (r - b) * a^-1 (mod p).  With
+        y = r * a^-1 mod p and s = b * a^-1 mod p that is x = y - s
+        (mod p), so over the sorted y's and their copies y + p the
+        members are the values in (s, s + n], shifted down by s.  Each
+        member costs O(p*t/k), not n evaluations; when n = p the residue
+        y = s lands on s + p, i.e. on vertex p = n, as it must.
+        """
+        p, n = self.p, self.n
+        residues = [r for r in range(p) if r % self.k < t]
+        for a in range(1, p):
+            inv = pow(a, -1, p)
+            base = sorted(r * inv % p for r in residues)
+            ys = base + [y + p for y in base]
+            for b in range(p):
+                s = b * inv % p
+                lo, hi = bisect_right(ys, s), bisect_right(ys, s + n)
+                yield [y - s for y in ys[lo:hi]]
+
     def member(self, a, b):
         if not (1 <= a < self.p and 0 <= b < self.p):
             raise DomainError(f"parameters ({a}, {b}) outside the family")
@@ -107,7 +135,8 @@ def avg_degree_is(g, meter=None):
     takes S_f = preimage of 1 under the best-scoring member (score
     |S_f| - edges(S_f), ties to the smallest (a, b)), and keeps every
     vertex of S_f that is minimum in its closed neighborhood within
-    G[S_f].
+    G[S_f].  The current and the best member's S_f, held as a list and
+    a set, are charged to the meter.
 
     Returns
     -------
@@ -122,21 +151,24 @@ def avg_degree_is(g, meter=None):
         return list(range(1, g.n + 1))
     k = -(-2 * g.m // g.n)
     best = None
-    for fn in cw_family(g.n, k, meter):
+    for inside in cw_family(g.n, k, meter).preimages(1):
         meter.tick_pass()
-        inside = [v for v in range(1, g.n + 1) if fn(v) == 1]
+        words = 2 * len(inside)
+        meter.alloc(words)
         member = set(inside)
-        crossing = 0
-        for u, v in g.edges:
-            meter.access()
-            if u in member and v in member:
-                crossing += 1
+        meter.access(g.m)
+        crossing = sum(1 for u, v in g.edges if u in member and v in member)
         score = len(inside) - crossing
         if best is None or score > best[0]:
-            best = (score, inside, member)
-    _, inside, member = best
+            if best is not None:
+                meter.release(best[3])
+            best = (score, inside, member, words)
+        else:
+            meter.release(words)
+    _, inside, member, words = best
     out = []
     for v in inside:
         if all(w > v for w in g.neighbors(v, meter) if w in member):
             out.append(v)
+    meter.release(words)
     return out

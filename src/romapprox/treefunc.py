@@ -90,27 +90,15 @@ class EulerTourCursor:
 class RootedTreeView:
     """A tree rooted anywhere, exposed through the forest protocol.
 
-    The fast mode resolves parents once by search from the root; the
-    metered mode re-derives each parent by replaying the Euler tour from
-    the root until it first arrives at the queried vertex, which costs
-    time but only cursor state.
+    Each parent is re-derived by replaying the Euler tour from the root
+    until it first arrives at the queried vertex, which costs time but
+    only cursor state.
     """
 
-    def __init__(self, tree, root, meter=None, metered=False):
+    def __init__(self, tree, root, meter=None):
         self.tree = tree
         self.root = root
         self.meter = coerce_meter(meter)
-        if metered:
-            self._parent = None
-        else:
-            parent = {root: None}
-            queue = [root]
-            for v in queue:
-                for w in tree.neighbors(v):
-                    if w not in parent:
-                        parent[w] = v
-                        queue.append(w)
-            self._parent = parent
 
     def contains(self, v):
         return 1 <= v <= self.tree.n
@@ -118,8 +106,6 @@ class RootedTreeView:
     def out(self, v):
         if v == self.root:
             return None
-        if self._parent is not None:
-            return self._parent[v]
         for frm, to in EulerTourCursor(self.tree, self.root, self.meter):
             if to == v:
                 return frm
@@ -404,7 +390,7 @@ def _tree_stream(tree, root, meter, metered, want):
     meter = coerce_meter(meter)
     if metered:
         _require_tree(tree, root)
-        view = RootedTreeView(tree, root, meter=meter, metered=True)
+        view = RootedTreeView(tree, root, meter=meter)
         meter.tick_pass()
         meter.alloc(MACHINE_WORDS)
         try:

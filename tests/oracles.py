@@ -6,6 +6,7 @@ than the library uses, so agreement is meaningful.
 """
 
 import itertools
+import math
 import random
 
 
@@ -268,6 +269,63 @@ def degeneracy_value(n, edges):
         best = max(best, len(nbr[v] & live))
         live.remove(v)
     return best
+
+
+# ---------------------------------------------------------------- hash sweeps
+
+
+def _cw_value_rows(n, k):
+    """Value lists [f(1), ..., f(n)] of every f(x) = ((a*x + b) mod p mod k) + 1,
+    p the least prime >= n, a in [1, p-1] and b in [0, p-1], a-major."""
+    p = max(2, n)
+    while any(p % q == 0 for q in range(2, p)):
+        p += 1
+    for a in range(1, p):
+        for b in range(p):
+            yield [(a * x + b) % p % k + 1 for x in range(1, n + 1)]
+
+
+def _nbr_sets(n, edges):
+    nbr = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return nbr
+
+
+def avg_degree_is_sweep(n, edges):
+    """Brute-force avg_degree_is: the first member maximizing |S| - m_S
+    over S = f^-1(1), k = ceil(2m/n), then the vertices of S smaller
+    than all their neighbours in S."""
+    if not edges:
+        return list(range(1, n + 1))
+    k = -(-2 * len(edges) // n)
+    best, best_score = None, None
+    for row in _cw_value_rows(n, k):
+        s = {x for x in range(1, n + 1) if row[x - 1] == 1}
+        score = len(s) - sum(1 for u, v in edges if u in s and v in s)
+        if best is None or score > best_score:
+            best, best_score = s, score
+    nbr = _nbr_sets(n, edges)
+    return sorted(v for v in best if all(w > v for w in nbr[v] & best))
+
+
+def regular_ds_sweep(n, edges, d):
+    """Brute-force regular_ds_derand: the first member minimizing
+    |S + (V - N[S])| over S = {x : f(x) <= max(1, ceil(ln(d+1)))},
+    range size d + 1."""
+    if n == 0:
+        return []
+    t = max(1, math.ceil(math.log(d + 1)))
+    nbr = _nbr_sets(n, edges)
+    best = None
+    for row in _cw_value_rows(n, d + 1):
+        s = {x for x in range(1, n + 1) if row[x - 1] <= t}
+        closed = s.union(*(nbr[v] for v in s))
+        w = s | (set(range(1, n + 1)) - closed)
+        if best is None or len(w) < len(best):
+            best = w
+    return sorted(best)
 
 
 # ---------------------------------------------------------------- generators

@@ -207,6 +207,8 @@ def test_gen_deterministic_and_valid(capsys):
          "degenerate", 2, load_graph),
         (["gen", "regular", "--n", "8", "--d", "3", "--seed", "7"],
          "regular", 3, load_graph),
+        (["gen", "regular", "--n", "64", "--d", "6", "--seed", "0"],
+         "regular", 6, load_graph),
         (["gen", "tournament", "--n", "6", "--seed", "4"], "tournament", None,
          load_digraph),
         (["gen", "functional", "--n", "8", "--seed", "5"], "functional", None,

@@ -12,6 +12,7 @@ from romapprox.dominating import (
 )
 from romapprox.errors import DomainError, RoundLimitError
 from romapprox.instances import GraphInstance
+from romapprox.meter import with_meter
 
 STAR6 = GraphInstance(7, [(1, v) for v in range(2, 8)])
 PATH5 = GraphInstance(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
@@ -198,3 +199,29 @@ def test_regular_random():
         out = regular_ds_derand(g, d)
         assert oracles.is_dominating(n, edges, set(out))
         assert len(out) <= n * (math.log(d + 1) + 1) / (d + 1) + 1
+
+
+def test_regular_matches_sweep_oracle():
+    rng = oracles.make_rng("regular-ds-sweep")
+    done = 0
+    while done < 60:
+        n = rng.choice((2, 3, 5, 7, 11, 13, 17, 19)) if done % 2 else rng.randint(1, 20)
+        d = rng.randint(0, min(6, n - 1))
+        edges = random_regular(rng, n, d)
+        if edges is None:
+            continue
+        done += 1
+        got = regular_ds_derand(GraphInstance(n, edges), d)
+        assert got == oracles.regular_ds_sweep(n, edges, d)
+
+
+def test_regular_meter():
+    out, snap = with_meter(lambda m: regular_ds_derand(C6, 2, m))
+    assert out == [1, 3, 4, 6]
+    assert (snap.input_accesses, snap.pass_estimate) == (366, 42)
+    assert snap.charged_peak > 0
+    _, snap = with_meter(lambda m: regular_ds_derand(PETERSEN, 3, m))
+    assert (snap.input_accesses, snap.pass_estimate) == (1810, 110)
+    assert snap.charged_peak > 0
+    _, snap = with_meter(lambda m: regular_ds_derand(GraphInstance(3, []), 0, m))
+    assert snap.charged_peak > 0

@@ -6,7 +6,7 @@ import oracles
 from romapprox.errors import DomainError
 from romapprox.hashing import HashFamily, avg_degree_is, cw_family, least_prime_at_least
 from romapprox.instances import GraphInstance
-from romapprox.meter import WorkspaceMeter
+from romapprox.meter import WorkspaceMeter, with_meter
 
 
 def test_prime_frozen():
@@ -60,6 +60,18 @@ def test_two_universality_exhaustive():
                 for j in range(i + 1, n):
                     hits = sum(1 for row in values if row[i] == row[j])
                     assert hits <= bound
+
+
+def test_preimages_match_members():
+    # at the prime n = 2, 3, 5, 7, 11, 13, p = n and vertex n is 0 mod p
+    for n in range(1, 14):
+        for k in range(1, n + 1):
+            fam = cw_family(n, k)
+            for t in range(1, k + 1):
+                pre = list(fam.preimages(t))
+                assert len(pre) == len(fam)
+                for f, got in zip(fam, pre):
+                    assert got == [x for x in range(1, n + 1) if f(x) <= t]
 
 
 def test_family_member_lookup():
@@ -122,6 +134,28 @@ def test_avg_is_random():
             continue
         k = -(-2 * len(edges) // n)
         assert len(out) >= n / (2 * k)
+
+
+def test_avg_is_matches_sweep_oracle():
+    rng = oracles.make_rng("avg-is-sweep")
+    for i in range(120):
+        n = rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23)) if i % 2 else rng.randint(1, 24)
+        edges = oracles.random_graph(rng, n, rng.uniform(0.05, 0.7))
+        assert avg_degree_is(GraphInstance(n, edges)) == oracles.avg_degree_is_sweep(n, edges)
+
+
+def test_avg_is_meter():
+    c6 = GraphInstance(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
+    out, snap = with_meter(lambda m: avg_degree_is(c6, m))
+    assert out == [2, 4, 6]
+    assert (snap.input_accesses, snap.pass_estimate) == (258, 42)
+    assert snap.charged_peak > 0
+    rng = oracles.make_rng("avg-is-meter")
+    for _ in range(40):
+        n = rng.randint(1, 14)
+        g = GraphInstance(n, oracles.random_graph(rng, n, rng.uniform(0.1, 0.8)))
+        _, snap = with_meter(lambda m: avg_degree_is(g, m))
+        assert (snap.charged_peak > 0) == (g.m > 0)
 
 
 def test_avg_is_rejects():

@@ -83,7 +83,7 @@ def test_tree_vertices_enumerates_once():
         n = rng.randint(1, 12)
         t = GraphInstance(n, oracles.random_tree_edges(rng, n))
         root = rng.randint(1, n)
-        view = RootedTreeView(t, root)
+        view = RootedTreeView(t, root, meter=WorkspaceMeter())
         seen = list(tree_vertices(view, root))
         assert sorted(seen) == list(range(1, n + 1))
 
