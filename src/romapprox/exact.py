@@ -9,6 +9,7 @@ that hand back a small witness on failure instead of a bare False.
 Refuses instances above a size cap rather than silently taking hours.
 """
 
+import heapq
 import itertools
 from enum import Enum
 
@@ -167,11 +168,52 @@ def _bfs_reach(g, start):
     return seen
 
 
+def _c4_free(g):
+    """True when ``g`` has no 4-cycle subgraph (Chiba–Nishizeki).
+
+    Vertices are taken in descending degree; each one anchors the wedges
+    whose middle and far end both come later, and a far end reached
+    twice closes a 4-cycle.  Every 4-cycle shows up at its earliest
+    vertex, and a wedge only runs to its lower-degree end, so the scan
+    costs O(m * arboricity) and a star costs O(n).
+    """
+    order = sorted(range(1, g.n + 1), key=lambda v: -g.degree(v))
+    rank = [0] * (g.n + 1)
+    for r, v in enumerate(order):
+        rank[v] = r
+    reached = [-1] * (g.n + 1)
+    for r, v in enumerate(order):
+        for w in g.neighbors(v):
+            if rank[w] > r:
+                for u in g.neighbors(w):
+                    if rank[u] > r:
+                        if reached[u] == r:
+                            return False
+                        reached[u] = r
+    return True
+
+
 def find_c4(g):
-    """Vertices of some 4-cycle subgraph (not necessarily induced), or None."""
-    for a, c in itertools.combinations(range(1, g.n + 1), 2):
-        common = [b for b in g.neighbors(a) if b != c and g.has_edge(b, c)]
-        if len(common) >= 2:
+    """Vertices of some 4-cycle subgraph (not necessarily induced), or None.
+
+    The witness is ``(a, b, c, b')`` for the least pair ``a < c`` with two
+    common neighbors, ``b`` and ``b'`` the first two of them in a's
+    adjacency order.  A 4-cycle-free graph is answered by
+    :func:`_c4_free`; otherwise a ascends and the wedges ``a-b-c`` with
+    ``c > a`` count each c's common neighbors with a.
+    """
+    if _c4_free(g):
+        return None
+    for a in range(1, g.n + 1):
+        wedges = {}
+        for b in g.neighbors(a):
+            for c in g.neighbors(b):
+                if c > a:
+                    wedges[c] = wedges.get(c, 0) + 1
+        closing = [c for c, count in wedges.items() if count >= 2]
+        if closing:
+            c = min(closing)
+            common = [b for b in g.neighbors(a) if g.has_edge(b, c)]
             return (a, common[0], c, common[1])
     return None
 
@@ -181,20 +223,31 @@ def has_c4(g):
 
 
 def degeneracy_order(g):
-    """Smallest-last peel order and the degeneracy it certifies."""
-    live = set(range(1, g.n + 1))
-    deg = {v: g.degree(v) for v in live}
+    """Smallest-last peel order and the degeneracy it certifies.
+
+    Each step removes the live vertex with the least ``(degree, id)``.
+    A heap gets a new entry whenever a vertex's degree drops; degrees
+    only fall, so a vertex's older entries sort after its current one
+    and surface only once it is gone.  The order costs O((n + m) log n).
+    """
+    deg = [0] + [g.degree(v) for v in range(1, g.n + 1)]
+    heap = [(deg[v], v) for v in range(1, g.n + 1)]
+    heapq.heapify(heap)
+    dead = [False] * (g.n + 1)
     order = []
     best = 0
-    while live:
-        v = min(live, key=lambda x: (deg[x], x))
-        if deg[v] > best:
-            best = deg[v]
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if dead[v]:
+            continue
+        if dv > best:
+            best = dv
         order.append(v)
-        live.remove(v)
+        dead[v] = True
         for w in g.neighbors(v):
-            if w in live:
+            if not dead[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order, best
 
 

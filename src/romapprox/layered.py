@@ -25,14 +25,13 @@ costs at most its d elements against any optimum that must hit it.
 """
 
 from .errors import DomainError
-from .instances import GraphInstance
+from .instances import GraphInstance, SetFamilyInstance
 from .layers import (
     LayeredFamilyView,
     LayeredGraphView,
     StagePredicate,
     enumerate_stage,
 )
-from .meter import coerce_meter
 from .treefunc import component_cover_member, fast_cover_members
 
 
@@ -161,21 +160,19 @@ class _IndepStage(StagePredicate):
         return self._kept(level, v)
 
 
-def _resolve_max_degree(g, max_degree):
-    if max_degree is None:
-        return g.max_degree()
-    if max_degree < g.max_degree():
-        raise DomainError(
-            f"declared max degree {max_degree} below actual {g.max_degree()}"
-        )
-    return max_degree
+def _resolve_bound(actual, declared, what):
+    if declared is None:
+        return actual
+    if declared < actual:
+        raise DomainError(f"declared {what} {declared} below actual {actual}")
+    return declared
 
 
 def bd_vc_view(g, max_degree=None, meter=None, memoized=True):
     """The layered view whose stage deletions form the 2-approximate cover."""
     if not isinstance(g, GraphInstance):
         raise DomainError("bd_vc_2approx needs a GraphInstance")
-    delta = _resolve_max_degree(g, max_degree)
+    delta = _resolve_bound(g.max_degree(), max_degree, "max degree")
     stages = [_CoverStage(i) for i in range(1, delta + 1)]
     return LayeredGraphView(g, stages, meter=meter, memoized=memoized)
 
@@ -202,7 +199,7 @@ def bd_is_view(g, max_degree=None, meter=None, memoized=True):
     """
     if not isinstance(g, GraphInstance):
         raise DomainError("bd_maximal_is needs a GraphInstance")
-    delta = _resolve_max_degree(g, max_degree)
+    delta = _resolve_bound(g.max_degree(), max_degree, "max degree")
     stages = [_IndepStage(i) for i in range(1, delta + 2)]
     return LayeredGraphView(g, stages, meter=meter, memoized=memoized)
 
@@ -284,6 +281,16 @@ class _HsStage(StagePredicate):
         return False
 
 
+def hs_view(f, max_multiplicity=None, meter=None, memoized=True):
+    """The layered view whose stage deletions form the d-approximate
+    hitting set, one stage per multiplicity rank."""
+    if not isinstance(f, SetFamilyInstance):
+        raise DomainError("bounded_mult_hs needs a SetFamilyInstance")
+    delta = _resolve_bound(f.max_multiplicity(), max_multiplicity, "multiplicity")
+    stages = [_HsStage(i, f.d, delta) for i in range(1, delta + 1)]
+    return LayeredFamilyView(f, stages, meter=meter, memoized=memoized)
+
+
 def bounded_mult_hs(f, max_multiplicity=None, meter=None, space_audit=False):
     """Stream a hitting set at most ``d`` times the optimum, stage-major.
 
@@ -292,25 +299,7 @@ def bounded_mult_hs(f, max_multiplicity=None, meter=None, space_audit=False):
     element, so charging its at most d elements to that optimum element
     gives the factor.
     """
-    meter = coerce_meter(meter)
-    if max_multiplicity is None:
-        delta = f.max_multiplicity()
-    else:
-        if max_multiplicity < f.max_multiplicity():
-            raise DomainError(
-                f"declared multiplicity {max_multiplicity} below actual "
-                f"{f.max_multiplicity()}"
-            )
-        delta = max_multiplicity
-    stages = [_HsStage(i, f.d, delta) for i in range(1, delta + 1)]
-    view = LayeredFamilyView(f, stages, meter=meter, memoized=not space_audit)
+    view = hs_view(f, max_multiplicity, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
         for e in enumerate_stage(view, i, "S"):
             yield e
-
-
-def hs_view(f, max_multiplicity=None, meter=None, memoized=True):
-    """Layered family view matching :func:`bounded_mult_hs`."""
-    delta = f.max_multiplicity() if max_multiplicity is None else max_multiplicity
-    stages = [_HsStage(i, f.d, delta) for i in range(1, delta + 1)]
-    return LayeredFamilyView(f, stages, meter=meter, memoized=memoized)

@@ -171,70 +171,76 @@ def hs_sqrt_approx(f, meter=None):
     return list(range(1, f.n + 1))
 
 
-def _induced(g, combo):
-    return [
-        (u, v) for u, v in combinations(combo, 2) if g.has_edge(u, v)
-    ]
+def _edges(adj):
+    for u in range(1, len(adj)):
+        for v in adj[u]:
+            if u < v:
+                yield (u, v)
 
 
-def _degrees(combo, edges):
-    deg = dict.fromkeys(combo, 0)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return sorted(deg.values())
+def _induced_paths(adj, k):
+    """Vertex lists of the induced paths on k vertices, each found from
+    both ends: a path grows by a neighbor of its last vertex that is
+    adjacent to no earlier one."""
+    paths = [[v] for v in range(1, len(adj))]
+    for _ in range(k - 1):
+        paths = [
+            p + [w]
+            for p in paths
+            for w in adj[p[-1]]
+            if w not in p and not any(w in adj[x] for x in p[:-1])
+        ]
+    return paths
 
 
-def _match_k2(g, combo):
-    return g.has_edge(*combo)
+def _closed_cycles(adj, k):
+    """Induced cycles on k vertices: an induced path on k - 1 vertices
+    closed by a vertex adjacent to both ends and to no interior one."""
+    for p in _induced_paths(adj, k - 1):
+        for w in adj[p[0]] & adj[p[-1]]:
+            if w not in p and not any(w in adj[x] for x in p[1:-1]):
+                yield p + [w]
 
 
-def _match_k3(g, combo):
-    return len(_induced(g, combo)) == 3
+def _triangles(adj):
+    for u, v in _edges(adj):
+        for w in adj[u] & adj[v]:
+            if w > v:
+                yield (u, v, w)
 
 
-def _match_p3(g, combo):
-    return len(_induced(g, combo)) == 2
+def _induced_matchings(adj):
+    """Pairs of disjoint edges with no edge between them."""
+    edges = list(_edges(adj))
+    for i, (a, b) in enumerate(edges):
+        near = adj[a] | adj[b]
+        for c, d in edges[i + 1:]:
+            if c not in near and d not in near:
+                yield (a, b, c, d)
 
 
-def _match_p4(g, combo):
-    edges = _induced(g, combo)
-    return len(edges) == 3 and _degrees(combo, edges) == [1, 1, 2, 2]
+def _directed_triangles(d):
+    for a, b, c in combinations(range(1, d.n + 1), 3):
+        if (
+            d.has_arc(a, b) and d.has_arc(b, c) and d.has_arc(c, a)
+        ) or (
+            d.has_arc(a, c) and d.has_arc(c, b) and d.has_arc(b, a)
+        ):
+            yield (a, b, c)
 
 
-def _match_c4(g, combo):
-    edges = _induced(g, combo)
-    return len(edges) == 4 and _degrees(combo, edges) == [2, 2, 2, 2]
-
-
-def _match_c5(g, combo):
-    edges = _induced(g, combo)
-    return len(edges) == 5 and _degrees(combo, edges) == [2, 2, 2, 2, 2]
-
-
-def _match_2k2(g, combo):
-    edges = _induced(g, combo)
-    return len(edges) == 2 and _degrees(combo, edges) == [1, 1, 1, 1]
-
-
-def _match_directed_triangle(d, combo):
-    a, b, c = combo
-    return (
-        d.has_arc(a, b) and d.has_arc(b, c) and d.has_arc(c, a)
-    ) or (
-        d.has_arc(a, c) and d.has_arc(c, b) and d.has_arc(b, a)
-    )
-
-
+# Pattern name -> (vertex count, enumerator).  An undirected pattern's
+# enumerator reads neighbor sets indexed by vertex and may yield one
+# occurrence several times, in any vertex order.
 _PATTERNS = {
-    "edge": (2, _match_k2),
-    "triangle": (3, _match_k3),
-    "induced-path-3": (3, _match_p3),
-    "induced-path-4": (4, _match_p4),
-    "induced-cycle-4": (4, _match_c4),
-    "induced-cycle-5": (5, _match_c5),
-    "induced-matching-2": (4, _match_2k2),
-    "directed-triangle": (3, _match_directed_triangle),
+    "edge": (2, _edges),
+    "triangle": (3, _triangles),
+    "induced-path-3": (3, lambda adj: _induced_paths(adj, 3)),
+    "induced-path-4": (4, lambda adj: _induced_paths(adj, 4)),
+    "induced-cycle-4": (4, lambda adj: _closed_cycles(adj, 4)),
+    "induced-cycle-5": (5, lambda adj: _closed_cycles(adj, 5)),
+    "induced-matching-2": (4, _induced_matchings),
+    "directed-triangle": (3, _directed_triangles),
 }
 
 FORBIDDEN_CATALOG = {
@@ -263,7 +269,10 @@ def forbidden_family(instance, problem):
     Sets are emitted by size, then lexicographically.  The result's set
     size bound is the largest pattern size of the problem's catalog
     entry, so hitting the family is exactly destroying every induced
-    occurrence.
+    occurrence.  Undirected patterns are grown from the graph (edges,
+    common neighbors, induced paths and the cycles closing them, pairs
+    of edges), so the cost follows the occurrences found rather than
+    the C(n, s) vertex subsets; tournaments scan every triple.
     """
     if problem not in FORBIDDEN_CATALOG:
         raise DomainError(f"unknown problem {problem!r}")
@@ -273,19 +282,17 @@ def forbidden_family(instance, problem):
         if not isinstance(instance, DigraphInstance):
             raise DomainError(f"{problem} needs a DigraphInstance")
         _require_tournament(instance)
-    elif not isinstance(instance, GraphInstance):
-        raise DomainError(f"{problem} needs a GraphInstance")
-    by_size = {}
+        source = instance
+    else:
+        if not isinstance(instance, GraphInstance):
+            raise DomainError(f"{problem} needs a GraphInstance")
+        source = [set()]
+        source.extend(set(instance.neighbors(v)) for v in range(1, instance.n + 1))
+    found = set()
     for name in names:
-        size, match = _PATTERNS[name]
-        by_size.setdefault(size, []).append(match)
-    d = max(by_size)
-    sets = []
-    for size in sorted(by_size):
-        matchers = by_size[size]
-        for combo in combinations(range(1, instance.n + 1), size):
-            if any(match(instance, combo) for match in matchers):
-                sets.append(combo)
+        found.update(tuple(sorted(occ)) for occ in _PATTERNS[name][1](source))
+    d = max(_PATTERNS[name][0] for name in names)
+    sets = sorted(found, key=lambda s: (len(s), s))
     return SetFamilyInstance(instance.n, d, sets)
 
 

@@ -232,6 +232,41 @@ def has_induced_c5(n, edges):
     return False
 
 
+# Shape of each undirected pattern: the sorted degree sequence of the
+# subgraph it induces, which also fixes its edge count.
+_PATTERN_DEGREES = {
+    "k2": [1, 1],
+    "k3": [2, 2, 2],
+    "p3": [1, 1, 2],
+    "p4": [1, 1, 2, 2],
+    "c4": [2, 2, 2, 2],
+    "2k2": [1, 1, 1, 1],
+    "c5": [2, 2, 2, 2, 2],
+}
+
+FORBIDDEN_SHAPES = {
+    "vc": ("k2",),
+    "triangle-vd": ("k3",),
+    "cluster-vd": ("p3",),
+    "cograph-vd": ("p4",),
+    "threshold-vd": ("2k2", "p4", "c4"),
+    "split-vd": ("2k2", "c4", "c5"),
+}
+
+
+def forbidden_sets(n, edges, problem):
+    """Every vertex subset inducing one of the problem's patterns, by size
+    then lexicographically, and the largest pattern size."""
+    shapes = [_PATTERN_DEGREES[name] for name in FORBIDDEN_SHAPES[problem]]
+    es = edge_set(edges)
+    found = []
+    for size in sorted({len(s) for s in shapes}):
+        for c in itertools.combinations(range(1, n + 1), size):
+            if _degseq(c, _induced_edges(es, c)) in shapes:
+                found.append(c)
+    return found, max(len(s) for s in shapes)
+
+
 def has_directed_triangle(n, arcs):
     a = set(arcs)
     for x, y, z in itertools.combinations(range(1, n + 1), 3):
@@ -255,20 +290,40 @@ def has_c4_subgraph(n, edges):
     return False
 
 
-def degeneracy_value(n, edges):
-    if n == 0:
-        return 0
+def find_c4(n, edges):
+    """(a, b, c, b') for the least pair a < c with two common neighbors
+    b, b' (the first two in a's input adjacency order), or None."""
+    adj = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for a, c in itertools.combinations(range(1, n + 1), 2):
+        common = [b for b in adj[a] if c in adj[b]]
+        if len(common) >= 2:
+            return (a, common[0], c, common[1])
+    return None
+
+
+def degeneracy_order(n, edges):
+    """Repeatedly remove the live vertex with the least (live degree, id);
+    the order and the largest degree seen at removal."""
     nbr = [set() for _ in range(n + 1)]
     for u, v in edges:
         nbr[u].add(v)
         nbr[v].add(u)
     live = set(range(1, n + 1))
+    order = []
     best = 0
     while live:
         v = min(live, key=lambda x: (len(nbr[x] & live), x))
         best = max(best, len(nbr[v] & live))
+        order.append(v)
         live.remove(v)
-    return best
+    return order, best
+
+
+def degeneracy_value(n, edges):
+    return degeneracy_order(n, edges)[1]
 
 
 # ---------------------------------------------------------------- hash sweeps

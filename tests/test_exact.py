@@ -9,7 +9,9 @@ from romapprox.exact import (
     ProblemKind,
     StructureKind,
     degeneracy,
+    degeneracy_order,
     exact_opt,
+    find_c4,
     has_c4,
     validate,
 )
@@ -163,6 +165,45 @@ def test_has_c4():
     assert not has_c4(complete(3))
     assert not has_c4(cycle(5))
     assert has_c4(PETERSEN) is False
+
+
+def test_find_c4_matches_pair_scan_oracle():
+    rng = oracles.make_rng("find-c4")
+    found = 0
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        edges = oracles.random_graph(rng, n, rng.uniform(0.05, 0.6))
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        got = find_c4(GraphInstance(n, edges))
+        assert got == oracles.find_c4(n, edges)
+        found += got is not None
+    assert 0 < found < 400
+
+
+def test_find_c4_large_c4_free():
+    rng = oracles.make_rng("find-c4-tree")
+    n = 4096
+    assert find_c4(GraphInstance(n, oracles.random_tree_edges(rng, n))) is None
+    assert find_c4(GraphInstance(n, [(1, v) for v in range(2, n + 1)])) is None
+
+
+def test_degeneracy_order_matches_oracle():
+    rng = oracles.make_rng("degeneracy-order")
+    for _ in range(300):
+        n = rng.randint(0, 16)
+        edges = oracles.random_graph(rng, n, rng.uniform(0.05, 0.8))
+        rng.shuffle(edges)
+        assert degeneracy_order(GraphInstance(n, edges)) == oracles.degeneracy_order(
+            n, edges
+        )
+
+
+def test_degeneracy_long_path_and_star():
+    n = 20000
+    assert degeneracy_order(path(n)) == (list(range(1, n + 1)), 1)
+    star = GraphInstance(n, [(1, v) for v in range(2, n + 1)])
+    assert degeneracy_order(star) == (list(range(2, n)) + [1, n], 1)
 
 
 @st.composite

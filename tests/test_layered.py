@@ -10,6 +10,7 @@ from romapprox.layered import (
     bd_vc_2approx,
     bd_vc_view,
     bounded_mult_hs,
+    hs_view,
 )
 from romapprox.layers import enumerate_stage
 from romapprox.meter import with_meter
@@ -156,3 +157,17 @@ def test_bounded_mult_hs_declared_multiplicity():
     with pytest.raises(DomainError):
         list(bounded_mult_hs(f, max_multiplicity=1))
     assert list(bounded_mult_hs(f, max_multiplicity=4)) == list(bounded_mult_hs(f))
+
+
+def test_hs_view_checks():
+    f = SetFamilyInstance(3, 2, [(1, 2), (1, 3), (1,)])
+    with pytest.raises(DomainError):
+        hs_view(f, max_multiplicity=1)
+    with pytest.raises(DomainError):
+        hs_view(object())
+    with pytest.raises(DomainError):
+        list(bounded_mult_hs(object()))
+    assert hs_view(f).depth == hs_view(f, max_multiplicity=3).depth == 3
+    view = hs_view(f, max_multiplicity=4)
+    staged = [e for i in range(1, view.depth + 1) for e in enumerate_stage(view, i, "S")]
+    assert staged == list(bounded_mult_hs(f, max_multiplicity=4))

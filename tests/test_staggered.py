@@ -172,6 +172,34 @@ def test_forbidden_frozen():
     assert forbidden_family(acyclic, "tournament-fvs").sets == ()
 
 
+def test_forbidden_family_matches_oracle():
+    assert sorted(oracles.FORBIDDEN_SHAPES) == sorted(RESIDUAL_ORACLES)
+    rng = oracles.make_rng("forbidden-sets")
+    for _ in range(120):
+        n = rng.randint(0, 10)
+        edges = oracles.random_graph(rng, n, rng.uniform(0.1, 0.8))
+        rng.shuffle(edges)
+        g = GraphInstance(n, edges)
+        for problem in sorted(oracles.FORBIDDEN_SHAPES):
+            fam = forbidden_family(g, problem)
+            sets, d = oracles.forbidden_sets(n, edges, problem)
+            assert fam.sets == tuple(sets)
+            assert fam.d == d
+
+
+def test_forbidden_counts_on_long_cycle():
+    n = 200
+    g = GraphInstance(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    for problem in ("cluster-vd", "cograph-vd"):
+        assert forbidden_family(g, problem).m == n
+    # A 200-cycle has no induced C4 or C5: split-vd's sets are its
+    # induced 2K2s, the pairs of edges at least three apart.
+    split = forbidden_family(g, "split-vd")
+    assert split.m == n * (n - 5) // 2
+    assert {len(s) for s in split.sets} == {4}
+    assert split.d == 5
+
+
 def test_forbidden_rejects():
     with pytest.raises(DomainError):
         forbidden_family(TRIANGLE, "chordal-vd")
