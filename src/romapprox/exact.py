@@ -168,29 +168,38 @@ def _bfs_reach(g, start):
     return seen
 
 
-def _c4_free(g):
-    """True when ``g`` has no 4-cycle subgraph (Chiba–Nishizeki).
+def _least_c4_vertex(g):
+    """The least vertex on any 4-cycle subgraph of ``g``, or None when
+    there is none (Chiba–Nishizeki).
 
     Vertices are taken in descending degree; each one anchors the wedges
     whose middle and far end both come later, and a far end reached
     twice closes a 4-cycle.  Every 4-cycle shows up at its earliest
     vertex, and a wedge only runs to its lower-degree end, so the scan
-    costs O(m * arboricity) and a star costs O(n).
+    costs O(m * arboricity) and a star costs O(n).  Each far end keeps
+    the first middle that reached it; when a later middle reaches it
+    again, the anchor, the far end and both middles lie on one 4-cycle.
+    Every vertex of every 4-cycle is seen that way at the cycle's
+    anchor, so the least vertex seen is the least on any 4-cycle.
     """
     order = sorted(range(1, g.n + 1), key=lambda v: -g.degree(v))
     rank = [0] * (g.n + 1)
     for r, v in enumerate(order):
         rank[v] = r
     reached = [-1] * (g.n + 1)
+    first = [0] * (g.n + 1)
+    least = g.n + 1
     for r, v in enumerate(order):
         for w in g.neighbors(v):
             if rank[w] > r:
                 for u in g.neighbors(w):
                     if rank[u] > r:
                         if reached[u] == r:
-                            return False
-                        reached[u] = r
-    return True
+                            least = min(least, v, u, first[u], w)
+                        else:
+                            reached[u] = r
+                            first[u] = w
+    return least if least <= g.n else None
 
 
 def find_c4(g):
@@ -198,24 +207,23 @@ def find_c4(g):
 
     The witness is ``(a, b, c, b')`` for the least pair ``a < c`` with two
     common neighbors, ``b`` and ``b'`` the first two of them in a's
-    adjacency order.  A 4-cycle-free graph is answered by
-    :func:`_c4_free`; otherwise a ascends and the wedges ``a-b-c`` with
-    ``c > a`` count each c's common neighbors with a.
+    adjacency order.  That ``a`` is the least vertex on any 4-cycle:
+    the least vertex of a 4-cycle has its opposite vertex as such a
+    ``c``, and any such pair spans a 4-cycle.  :func:`_least_c4_vertex`
+    finds it in one wedge scan, and the wedges ``a-b-c`` with ``c > a``
+    then count each c's common neighbors with a.
     """
-    if _c4_free(g):
+    a = _least_c4_vertex(g)
+    if a is None:
         return None
-    for a in range(1, g.n + 1):
-        wedges = {}
-        for b in g.neighbors(a):
-            for c in g.neighbors(b):
-                if c > a:
-                    wedges[c] = wedges.get(c, 0) + 1
-        closing = [c for c, count in wedges.items() if count >= 2]
-        if closing:
-            c = min(closing)
-            common = [b for b in g.neighbors(a) if g.has_edge(b, c)]
-            return (a, common[0], c, common[1])
-    return None
+    wedges = {}
+    for b in g.neighbors(a):
+        for c in g.neighbors(b):
+            if c > a:
+                wedges[c] = wedges.get(c, 0) + 1
+    c = min(c for c, count in wedges.items() if count >= 2)
+    common = [b for b in g.neighbors(a) if g.has_edge(b, c)]
+    return (a, common[0], c, common[1])
 
 
 def has_c4(g):

@@ -98,11 +98,6 @@ class HashFamily:
                 lo, hi = bisect_right(ys, s), bisect_right(ys, s + n)
                 yield [y - s for y in ys[lo:hi]]
 
-    def member(self, a, b):
-        if not (1 <= a < self.p and 0 <= b < self.p):
-            raise DomainError(f"parameters ({a}, {b}) outside the family")
-        return HashFn(a, b, self.p, self.k)
-
     def __repr__(self):
         return f"HashFamily(n={self.n}, k={self.k}, p={self.p})"
 

@@ -55,11 +55,23 @@ class StageSubgraph:
         return w
 
     def in_nbrs(self, v):
+        """Live neighbors w whose rank-i neighbor is v: the probes of
+        :meth:`GraphLevel.neighbors_live`, inlined in this innermost
+        audited loop, plus one to read w's rank-i neighbor."""
         level = self.level
+        view = level.view
+        base = view.base
+        meter = view.meter
+        live = view._live
+        depth = level.i
         i = self.i
-        for w in level.neighbors_live(v):
-            if level.ith_neighbor(w, i) == v:
-                yield w
+        for w in base.neighbors(v):
+            meter.access()
+            if live(depth, w):
+                meter.access()
+                around = base.neighbors(w)
+                if i <= len(around) and around[i - 1] == v:
+                    yield w
 
 
 class _CoverStage(StagePredicate):

@@ -2,7 +2,8 @@
 
 An algorithm in this package runs in stages: stage i inspects the instance
 as it stands after stages 1..i-1 and deletes a set of items.  Nothing is
-ever materialized by default.  Liveness at depth i is answered recursively:
+ever materialized by default.  Liveness at depth i is defined level by
+level:
 
 * a vertex is live at depth i when it is live at depth i-1 and the stage-i
   predicate declines to delete it;
@@ -11,13 +12,14 @@ ever materialized by default.  Liveness at depth i is answered recursively:
 * a set is live when none of its elements has been deleted.
 
 Each stage predicate declares a words budget no larger than the module
-constant ``WORDS_PER_LEVEL``; a liveness query at depth i allocates one
-budget frame per level on the way down, so its charged peak is at most
-``(i+1) * WORDS_PER_LEVEL``.  Predicates receive a read handle fixed to
-the level below them, which makes consulting the wrong level impossible
-by construction.
+constant ``WORDS_PER_LEVEL``; a liveness query at depth i holds one
+budget frame per level it has yet to decide, so its charged peak is at
+most ``(i+1) * WORDS_PER_LEVEL``.  The query is one loop over the levels,
+not a recursion, so a deep stack costs no interpreter stack.  Predicates
+receive a read handle fixed to the level below them, which makes
+consulting the wrong level impossible by construction.
 
-The recursive mode recomputes everything and is what the space audits
+The default mode recomputes everything and is what the space audits
 run against.  ``memoized=True`` caches liveness per level; answers are
 identical, but cached charge profiles are not audit material.
 """
@@ -88,11 +90,12 @@ class GraphLevel:
 
     def neighbors_live(self, v):
         view = self.view
-        base = view.base
+        live = view._live
         meter = view.meter
-        for w in base.neighbors(v):
+        i = self.i
+        for w in view.base.neighbors(v):
             meter.access()
-            if view.vertex_live(self.i, w):
+            if live(i, w):
                 yield w
 
     def degree_live(self, v):
@@ -160,119 +163,125 @@ class FamilyLevel:
         return self.view.base.set_elements(j, self.view.meter)
 
 
-class LayeredGraphView:
-    """Stack of deletion stages over a graph."""
+class _LayeredView:
+    """Stack of deletion stages over a base instance; subclasses name the
+    item kind (``_item``) and the level handle class (``_level_cls``).
+
+    ``_live(i, x)`` starts at the deepest level whose answer is known
+    (level 0, or a memo hit), charges the frames of all levels above it
+    at once, and runs their predicates upward, releasing each frame as
+    its predicate returns and stopping at the first deletion.  Every
+    predicate call thus holds what a level-by-level recursion would: the
+    frames of its own level and of every level above it.
+    """
 
     def __init__(self, base, stages, meter=None, memoized=False):
-        if not isinstance(base, GraphInstance):
-            raise DomainError("LayeredGraphView needs a GraphInstance")
         self.base = base
         self.stages = tuple(stages)
+        self.depth = len(self.stages)
         self.meter = coerce_meter(meter)
         self.memoized = memoized
         self._memo = [{} for _ in self.stages] if memoized else None
-        self._levels = [GraphLevel(self, i) for i in range(len(self.stages) + 1)]
-
-    @property
-    def depth(self):
-        return len(self.stages)
+        self._levels = [self._level_cls(self, i) for i in range(self.depth + 1)]
+        frames = [0]
+        for pred in self.stages:
+            frames.append(frames[-1] + pred.words_budget)
+        self._frames = frames
 
     def level(self, i):
         if not 0 <= i <= self.depth:
             raise DomainError(f"level {i} outside 0..{self.depth}")
         return self._levels[i]
 
-    def vertex_live(self, i, v):
+    def _checked_live(self, i, x):
         if not 0 <= i <= self.depth:
             raise DomainError(f"level {i} outside 0..{self.depth}")
-        if not 1 <= v <= self.base.n:
-            raise DomainError(f"vertex {v} out of range 1..{self.base.n}")
-        if i == 0:
-            return True
-        if self._memo is not None:
-            memo = self._memo[i - 1]
-            hit = memo.get(v)
-            if hit is None:
-                hit = self._compute_live(i, v)
-                memo[v] = hit
-            return hit
-        return self._compute_live(i, v)
+        if not 1 <= x <= self.base.n:
+            raise DomainError(f"{self._item} {x} out of range 1..{self.base.n}")
+        return self._live(i, x) if i else True
 
-    def _compute_live(self, i, v):
-        pred = self.stages[i - 1]
+    def _live(self, i, x):
+        """Liveness of a valid item id at a valid depth."""
+        if not i:
+            return True
+        memo = self._memo
+        lo = 0
+        live = True
+        if memo is not None:
+            hit = memo[i - 1].get(x)
+            if hit is not None:
+                return hit
+            lo = i - 1
+            while lo:
+                hit = memo[lo - 1].get(x)
+                if hit is not None:
+                    live = hit
+                    break
+                lo -= 1
         meter = self.meter
-        meter.alloc(pred.words_budget)
+        held = self._frames[i] - self._frames[lo]
+        meter.alloc(held)
+        k = lo
         try:
-            if not self.vertex_live(i - 1, v):
-                return False
-            return not pred.check(self._levels[i - 1], v)
+            stages = self.stages
+            levels = self._levels
+            while live and k < i:
+                pred = stages[k]
+                live = not pred.check(levels[k], x)
+                meter.release(pred.words_budget)
+                held -= pred.words_budget
+                if memo is not None:
+                    memo[k][x] = live
+                k += 1
         finally:
-            meter.release(pred.words_budget)
+            meter.release(held)
+        if memo is not None:
+            for j in range(k, i):
+                memo[j][x] = False
+        return live
+
+    def stage_deleted(self, i, x):
+        """True when stage i is the one that deleted x."""
+        if not 1 <= i <= self.depth:
+            raise DomainError(f"stage {i} outside 1..{self.depth}")
+        return self._checked_live(i - 1, x) and not self._checked_live(i, x)
+
+
+class LayeredGraphView(_LayeredView):
+    """Stack of deletion stages over a graph."""
+
+    _item = "vertex"
+    _level_cls = GraphLevel
+
+    def __init__(self, base, stages, meter=None, memoized=False):
+        if not isinstance(base, GraphInstance):
+            raise DomainError("LayeredGraphView needs a GraphInstance")
+        super().__init__(base, stages, meter, memoized)
+
+    vertex_live = _LayeredView._checked_live
 
     def edge_live(self, i, u, v):
         if not self.base.has_edge(u, v, self.meter):
             raise DomainError(f"({u}, {v}) is not an edge of the base graph")
         return self.vertex_live(i, u) and self.vertex_live(i, v)
 
-    def stage_deleted(self, i, v):
-        """True when stage i is the one that deleted v."""
-        if not 1 <= i <= self.depth:
-            raise DomainError(f"stage {i} outside 1..{self.depth}")
-        return self.vertex_live(i - 1, v) and not self.vertex_live(i, v)
 
-
-class LayeredFamilyView:
+class LayeredFamilyView(_LayeredView):
     """Stack of element-deletion stages over a set family.
 
     Stages delete ground-set elements; a set dies with its first deleted
     element, so set liveness is derived, never stored.
     """
 
+    _item = "element"
+    _level_cls = FamilyLevel
+
     def __init__(self, base, stages, meter=None, memoized=False):
         if not isinstance(base, SetFamilyInstance):
             raise DomainError("LayeredFamilyView needs a SetFamilyInstance")
-        self.base = base
-        self.stages = tuple(stages)
-        self.meter = coerce_meter(meter)
-        self.memoized = memoized
-        self._memo = [{} for _ in self.stages] if memoized else None
-        self._levels = [FamilyLevel(self, i) for i in range(len(self.stages) + 1)]
+        super().__init__(base, stages, meter, memoized)
 
-    @property
-    def depth(self):
-        return len(self.stages)
-
-    def level(self, i):
-        if not 0 <= i <= self.depth:
-            raise DomainError(f"level {i} outside 0..{self.depth}")
-        return self._levels[i]
-
-    def element_live(self, i, e):
-        if not 0 <= i <= self.depth:
-            raise DomainError(f"level {i} outside 0..{self.depth}")
-        if not 1 <= e <= self.base.n:
-            raise DomainError(f"element {e} out of range 1..{self.base.n}")
-        if i == 0:
-            return True
-        if self._memo is not None:
-            memo = self._memo[i - 1]
-            hit = memo.get(e)
-            if hit is None:
-                hit = self._compute_live(i, e)
-                memo[e] = hit
-            return hit
-        return self._compute_live(i, e)
-
-    def _compute_live(self, i, e):
-        pred = self.stages[i - 1]
-        meter = self.meter
-        meter.alloc(pred.words_budget)
-        try:
-            if not self.element_live(i - 1, e):
-                return False
-            return not pred.check(self._levels[i - 1], e)
-        finally:
-            meter.release(pred.words_budget)
+    element_live = _LayeredView._checked_live
 
     def set_live(self, i, j):
         if not 1 <= j <= self.base.m:
@@ -281,11 +290,6 @@ class LayeredFamilyView:
             if not self.element_live(i, e):
                 return False
         return True
-
-    def stage_deleted(self, i, e):
-        if not 1 <= i <= self.depth:
-            raise DomainError(f"stage {i} outside 1..{self.depth}")
-        return self.element_live(i - 1, e) and not self.element_live(i, e)
 
 
 def enumerate_stage(view, i, kind):

@@ -45,6 +45,13 @@ class EulerTourCursor:
     after the arrival edge in input order, wrapping around; the tour ends
     on returning to the root by its last adjacency slot.  Steps charge
     primitive words, not charged words.
+
+    A step probes current's degree, its departure slot, each slot of the
+    next vertex's list up to the new arrival index, and the root's
+    degree whenever it arrives at the root; all are charged in one call.
+    The state is stored before each edge is handed out, so a walk
+    stopped early resumes, by ``step()`` or a fresh iteration, where it
+    stopped.
     """
 
     __slots__ = ("tree", "root", "current", "arrival", "meter", "_done")
@@ -61,29 +68,30 @@ class EulerTourCursor:
 
     def step(self):
         """Next tour edge (frm, to), or None once the tour is closed."""
-        if self._done:
-            return None
-        t = self.tree
-        m = self.meter
-        m.charge_primitive()
-        deg = t.degree(self.current, m)
-        idx = self.arrival % deg + 1
-        nxt = t.ith_neighbor(self.current, idx, m)
-        pos = 1
-        while t.ith_neighbor(nxt, pos, m) != self.current:
-            pos += 1
-        frm = self.current
-        self.current = nxt
-        self.arrival = pos
-        if nxt == self.root and pos == t.degree(self.root, m):
-            self._done = True
-        return (frm, nxt)
+        for edge in self:
+            return edge
+        return None
 
     def __iter__(self):
-        while True:
-            edge = self.step()
-            if edge is None:
-                return
+        neighbors = self.tree.neighbors
+        meter = self.meter
+        root = self.root
+        cur = self.current
+        arrival = self.arrival
+        while not self._done:
+            out = neighbors(cur)
+            nxt = out[arrival % len(out)]
+            back = neighbors(nxt)
+            arrival = back.index(cur) + 1
+            meter.charge_primitive()
+            if nxt == root:
+                meter.access(3 + arrival)
+                self._done = arrival == len(back)
+            else:
+                meter.access(2 + arrival)
+            edge = (cur, nxt)
+            self.current = cur = nxt
+            self.arrival = arrival
             yield edge
 
 

@@ -163,6 +163,46 @@ def tree_tau_dp(n, edges, root=1):
     return min(inc[root], exc[root])
 
 
+def euler_tour(n, edges, root):
+    """Replay a tree's closed Euler tour probe by probe.
+
+    Each step leaves the current vertex by the slot after the arrival
+    slot (input adjacency order, wrapping), then scans the next vertex's
+    list slot by slot for the arrival slot.  A step costs one primitive
+    word and these probes: the current degree, the departure slot, each
+    scanned slot, and the root's degree when the step lands on the root.
+    The tour closes on landing at the root by its last slot.  Returns
+    (edges walked, primitive words, probes).
+    """
+    nbr = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    walked = []
+    primitive = probes = 0
+    if not nbr[root]:
+        return walked, primitive, probes
+    cur, arrival = root, 0
+    while True:
+        primitive += 1
+        probes += 1
+        degree = len(nbr[cur])
+        probes += 1
+        nxt = nbr[cur][arrival % degree]
+        slot = 0
+        while True:
+            slot += 1
+            probes += 1
+            if nbr[nxt][slot - 1] == cur:
+                break
+        walked.append((cur, nxt))
+        cur, arrival = nxt, slot
+        if cur == root:
+            probes += 1
+            if arrival == len(nbr[root]):
+                return walked, primitive, probes
+
+
 # ------------------------------------------------------------ pattern scans
 
 

@@ -188,6 +188,22 @@ def test_find_c4_large_c4_free():
     assert find_c4(GraphInstance(n, [(1, v) for v in range(2, n + 1)])) is None
 
 
+def star_with_c4(n):
+    """A star centred on n plus a 4-cycle on its four largest leaves."""
+    a, b, c, d = n - 4, n - 3, n - 2, n - 1
+    return [(v, n) for v in range(1, n)] + [(a, b), (b, c), (c, d), (d, a)]
+
+
+def test_find_c4_star_with_c4_on_largest_leaves():
+    # Each leaf below the cycle sees the centre's whole neighbourhood, so
+    # trying every a in turn would cost Θ(n²) here.
+    small = find_c4(GraphInstance(12, star_with_c4(12)))
+    assert small == oracles.find_c4(12, star_with_c4(12))
+    shift = 4096 - 12
+    big = find_c4(GraphInstance(4096, star_with_c4(4096)))
+    assert big == tuple(x + shift for x in small)
+
+
 def test_degeneracy_order_matches_oracle():
     rng = oracles.make_rng("degeneracy-order")
     for _ in range(300):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 import oracles
@@ -109,6 +111,28 @@ def test_bd_metered_run_balances():
     assert oracles.is_vertex_cover(g.edges, got)
     assert snap.charged_peak > 0
     assert snap.pass_estimate >= 2
+
+
+PETERSEN = GraphInstance(
+    10,
+    [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
+     (6, 8), (7, 9), (8, 10), (9, 6), (10, 7)]
+    + [(i, i + 5) for i in range(1, 6)],
+)
+
+
+def test_audited_meter_counts_pinned():
+    # A faster liveness walk must charge exactly the same words and probes.
+    got, snap = with_meter(
+        lambda meter: list(bd_vc_2approx(PETERSEN, meter=meter, space_audit=True))
+    )
+    assert got == [2, 4, 7, 8, 1, 6, 5]
+    assert astuple(snap) == (72, 0, 245394, 3)
+    got, snap = with_meter(
+        lambda meter: list(bd_maximal_is(PETERSEN, meter=meter, space_audit=True))
+    )
+    assert got == [1, 3, 9, 10]
+    assert astuple(snap) == (96, 0, 26579, 4)
 
 
 def test_bounded_mult_hs_frozen():

@@ -192,3 +192,89 @@ def test_memoized_matches_recursive_family():
             assert list(enumerate_stage(plain, i, "S")) == list(
                 enumerate_stage(memo, i, "S")
             )
+
+
+def _keep_all():
+    return StagePredicate("keep-all", lambda level, x: False, words_budget=8)
+
+
+@pytest.mark.parametrize("memoized", [False, True])
+@pytest.mark.parametrize("depth", [800, 3000])
+def test_deep_stacks_answer_cold_queries(depth, memoized):
+    def graph_body(meter):
+        view = LayeredGraphView(
+            PATH4, [_keep_all() for _ in range(depth)], meter=meter, memoized=memoized
+        )
+        return view.vertex_live(depth, 2)
+
+    def family_body(meter):
+        view = LayeredFamilyView(
+            FAMILY, [_keep_all() for _ in range(depth)], meter=meter, memoized=memoized
+        )
+        return view.element_live(depth, 3)
+
+    for body in (graph_body, family_body):
+        live, snap = with_meter(body)
+        assert live
+        assert snap.charged_peak == 8 * depth
+
+
+def _recording_stack(budgets, deleting, probe):
+    """Stage k (1-based) deletes exactly the vertex ``deleting[k - 1]`` and
+    records (k, charged words held) each time it is asked."""
+
+    def stage(k, budget, victim):
+        def check(level, v):
+            probe["log"].append((k, probe["meter"].charged_current))
+            return v == victim
+
+        return StagePredicate(f"record-{k}", check, words_budget=budget)
+
+    return [
+        stage(k, b, victim)
+        for k, (b, victim) in enumerate(zip(budgets, deleting), start=1)
+    ]
+
+
+def _recursive_live(stages, meter, i, v, memo):
+    """Reference: the level-by-level recursion, one frame per level, with
+    the per-level memo when ``memo`` is not None."""
+    if i == 0:
+        return True
+    if memo is not None and v in memo[i - 1]:
+        return memo[i - 1][v]
+    pred = stages[i - 1]
+    meter.alloc(pred.words_budget)
+    try:
+        live = _recursive_live(stages, meter, i - 1, v, memo) and not pred.check(
+            None, v
+        )
+    finally:
+        meter.release(pred.words_budget)
+    if memo is not None:
+        memo[i - 1][v] = live
+    return live
+
+
+@pytest.mark.parametrize("memoized", [False, True])
+def test_charge_held_at_each_predicate_matches_recursion(memoized):
+    import random
+
+    budgets = [3, 5, 7, 2, 8, 1, 6, 4]
+    deleting = [0, 2, 0, 0, 4, 0, 1, 0]  # stages 2, 5 and 7 delete 2, 4, 1
+    queries = [(i, v) for i in range(len(budgets) + 1) for v in range(1, 5)]
+    random.Random(3).shuffle(queries)
+
+    probe = {"meter": WorkspaceMeter(), "log": []}
+    stages = _recording_stack(budgets, deleting, probe)
+    memo = [{} for _ in stages] if memoized else None
+    want = [_recursive_live(stages, probe["meter"], i, v, memo) for i, v in queries]
+    want_log, want_peak = probe["log"], probe["meter"].charged_peak
+
+    probe = {"meter": WorkspaceMeter(), "log": []}
+    stages = _recording_stack(budgets, deleting, probe)
+    view = LayeredGraphView(PATH4, stages, meter=probe["meter"], memoized=memoized)
+    assert [view.vertex_live(i, v) for i, v in queries] == want
+    assert probe["log"] == want_log
+    assert probe["meter"].charged_peak == want_peak
+    assert probe["meter"].charged_current == 0

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import astuple
+
 import pytest
 
 import oracles
@@ -75,6 +78,60 @@ def test_euler_tour_charges_primitive_words_only():
     assert snap.primitive_words == 8
     assert snap.charged_peak == 0
     assert snap.input_accesses > 0
+
+
+def _tour_against_oracle(n, edges, root):
+    t = GraphInstance(n, edges)
+    walked, snap = with_meter(lambda meter: list(EulerTourCursor(t, root, meter)))
+    assert (walked, snap.primitive_words, snap.input_accesses) == oracles.euler_tour(
+        n, edges, root
+    )
+    assert snap.charged_peak == 0
+    return walked
+
+
+def test_euler_tour_matches_probe_oracle_on_all_small_trees():
+    for n in range(1, 8):
+        for seq in itertools.product(range(1, n + 1), repeat=max(0, n - 2)):
+            edges = oracles.prufer_decode(list(seq), n)
+            for root in range(1, n + 1):
+                _tour_against_oracle(n, edges, root)
+
+
+def test_euler_tour_matches_probe_oracle_on_stars():
+    n = 9
+    edges = [(1, v) for v in range(2, n + 1)]
+    # every arrival at the centre scans the centre's list for its slot
+    for root in (1, 2, n):
+        walked = _tour_against_oracle(n, edges, root)
+        assert len(walked) == 2 * (n - 1)
+
+
+def test_euler_tour_step_then_iterate_resumes():
+    rng = oracles.make_rng("tour-resume")
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        t = GraphInstance(n, oracles.random_tree_edges(rng, n))
+        root = rng.randint(1, n)
+        full = list(EulerTourCursor(t, root))
+        cursor = EulerTourCursor(t, root)
+        head = [cursor.step() for _ in range(rng.randint(1, len(full)))]
+        assert head + list(cursor) == full
+        assert cursor.step() is None
+        assert list(cursor) == []
+
+
+def test_metered_tree_meter_counts_pinned():
+    # A faster tour must charge exactly the same words and probes.
+    caterpillar = GraphInstance(
+        9, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (3, 8), (5, 9)]
+    )
+    for solve, want in ((tree_min_vc, [2, 3, 5]), (tree_max_is, [1, 4, 6, 7, 8, 9])):
+        got, snap = with_meter(
+            lambda meter: list(solve(caterpillar, meter=meter, metered=True))
+        )
+        assert got == want
+        assert astuple(snap) == (8, 246, 854, 1)
 
 
 def test_tree_vertices_enumerates_once():
