@@ -43,39 +43,6 @@ def _require(instance, cls, kind):
         raise DomainError(f"{kind} expects {cls.__name__}, got {type(instance).__name__}")
 
 
-def _covers(g, cand):
-    s = set(cand)
-    return all(u in s or v in s for u, v in g.edges)
-
-
-def _independent(g, cand):
-    s = set(cand)
-    return not any(u in s and v in s for u, v in g.edges)
-
-
-def _maximal_independent(g, cand):
-    if not _independent(g, cand):
-        return False
-    s = set(cand)
-    for v in range(1, g.n + 1):
-        if v not in s and not any(w in s for w in g.neighbors(v)):
-            return False
-    return True
-
-
-def _dominates(g, cand):
-    s = set(cand)
-    for v in range(1, g.n + 1):
-        if v not in s and not any(w in s for w in g.neighbors(v)):
-            return False
-    return True
-
-
-def _hits(f, cand):
-    s = set(cand)
-    return all(any(e in s for e in a) for a in f.sets)
-
-
 def exact_opt(kind, instance, cap=None):
     """Exact optimum for ``kind`` on a small instance.
 
@@ -98,24 +65,10 @@ def exact_opt(kind, instance, cap=None):
         )
     n = instance.n
     ids = range(1, n + 1)
-    if kind is ProblemKind.VC:
-        feasible = lambda c: _covers(instance, c)
-        sizes = range(n + 1)
-    elif kind is ProblemKind.IS:
-        feasible = lambda c: _independent(instance, c)
-        sizes = range(n, -1, -1)
-    elif kind is ProblemKind.MAXIMAL_IS:
-        feasible = lambda c: _maximal_independent(instance, c)
-        sizes = range(n + 1)
-    elif kind is ProblemKind.DS:
-        feasible = lambda c: _dominates(instance, c)
-        sizes = range(n + 1)
-    else:
-        feasible = lambda c: _hits(instance, c)
-        sizes = range(n + 1)
+    sizes = range(n, -1, -1) if kind is ProblemKind.IS else range(n + 1)
     for size in sizes:
         for combo in itertools.combinations(ids, size):
-            if feasible(combo):
+            if _validate_problem(kind, instance, combo)[0]:
                 return combo, size
     raise DomainError(f"no feasible {kind.value} solution exists")
 

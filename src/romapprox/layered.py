@@ -80,16 +80,14 @@ class _CoverStage(StagePredicate):
     def __init__(self, i):
         super().__init__(f"cover-stage-{i}", words_budget=24)
         self.i = i
-        self._cache = None
 
     def check(self, level, v):
-        sub = StageSubgraph(level, self.i)
-        if level.view.memoized:
-            if self._cache is None:
-                live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
-                self._cache = fast_cover_members(sub, live)
-            return self._cache.get(v, False)
-        return component_cover_member(sub, v, level.n)
+        return component_cover_member(StageSubgraph(level, self.i), v, level.n)
+
+    def deletions(self, level):
+        live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
+        member = fast_cover_members(StageSubgraph(level, self.i), live)
+        return [u for u in live if member[u]]
 
 
 KEPT_FRAME_WORDS = 4
@@ -111,31 +109,9 @@ class _IndepStage(StagePredicate):
     def __init__(self, i):
         super().__init__(f"independent-stage-{i}", words_budget=28)
         self.i = i
-        self._cache = None
-        self._kept_cache = None
-
-    def _machine(self, level, v):
-        sub = StageSubgraph(level, self.i)
-        if level.view.memoized:
-            if self._cache is None:
-                self._cache = self._solve(level)
-            return self._cache.get(v, False)
-        return not component_cover_member(sub, v, level.n)
-
-    def _solve(self, level):
-        live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
-        cover = fast_cover_members(StageSubgraph(level, self.i), live)
-        machine = {}
-        for v in live:
-            machine[v] = not cover.get(v, True)
-        return machine
 
     def _kept(self, level, v):
-        if level.view.memoized:
-            if self._kept_cache is None:
-                self._kept_cache = self._keep(level)
-            return self._kept_cache.get(v, False)
-        if not self._machine(level, v):
+        if component_cover_member(StageSubgraph(level, self.i), v, level.n):
             return False
         meter = level.view.meter
         meter.alloc(KEPT_FRAME_WORDS)
@@ -147,19 +123,6 @@ class _IndepStage(StagePredicate):
         finally:
             meter.release(KEPT_FRAME_WORDS)
 
-    def _keep(self, level):
-        kept = {}
-        for v in range(1, level.n + 1):
-            if not (level.vertex_live(v) and self._machine(level, v)):
-                continue
-            blocked = False
-            for w in level.neighbors_live(v):
-                if w < v and kept.get(w, False):
-                    blocked = True
-                    break
-            kept[v] = not blocked
-        return kept
-
     def check(self, level, v):
         if self._kept(level, v):
             return True
@@ -168,7 +131,27 @@ class _IndepStage(StagePredicate):
                 return True
         return False
 
+    def deletions(self, level):
+        """Deleted vertex -> kept flag: the greedy kept set of the
+        machine's choice and every live vertex next to a kept one."""
+        live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
+        cover = fast_cover_members(StageSubgraph(level, self.i), live)
+        kept = {}
+        for v in live:
+            if not cover[v]:
+                kept[v] = not any(
+                    w < v and kept.get(w, False) for w in level.neighbors_live(v)
+                )
+        return {
+            v: kept.get(v, False)
+            for v in live
+            if kept.get(v, False)
+            or any(kept.get(w, False) for w in level.neighbors_live(v))
+        }
+
     def chosen(self, level, v):
+        if level.view.memoized:
+            return level.view.stage_deletions(level.i + 1).get(v, False)
         return self._kept(level, v)
 
 
@@ -193,7 +176,7 @@ def bd_vc_2approx(g, max_degree=None, meter=None, space_audit=False):
     """Stream a vertex cover of at most twice the optimum size.
 
     Stage-major order, ascending ids within a stage.  ``space_audit``
-    switches to the non-memoized recursion the meter reports on.
+    switches to the per-query recomputation the meter reports on.
     """
     view = bd_vc_view(g, max_degree, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
@@ -246,7 +229,6 @@ class _HsStage(StagePredicate):
         super().__init__(f"hitting-stage-{i}", words_budget=28)
         self.i = i
         self.inner_degree = max(0, set_bound * (mult_bound - 1))
-        self._cache = None
 
     def _stage_sets(self, level):
         positions = []
@@ -260,8 +242,6 @@ class _HsStage(StagePredicate):
         return positions
 
     def _chosen_sets(self, level):
-        if level.view.memoized and self._cache is not None:
-            return self._cache
         positions = self._stage_sets(level)
         h = len(positions)
         members = [set(level.base.set_elements(j)) for j in positions]
@@ -272,7 +252,7 @@ class _HsStage(StagePredicate):
             if members[a - 1] & members[b - 1]
         ]
         igraph = GraphInstance(h, edges)
-        chosen = frozenset(
+        return frozenset(
             positions[p - 1]
             for p in bd_maximal_is(
                 igraph,
@@ -281,9 +261,6 @@ class _HsStage(StagePredicate):
                 space_audit=not level.view.memoized,
             )
         )
-        if level.view.memoized:
-            self._cache = chosen
-        return chosen
 
     def check(self, level, e):
         chosen = self._chosen_sets(level)
@@ -291,6 +268,12 @@ class _HsStage(StagePredicate):
             if j in chosen:
                 return True
         return False
+
+    def deletions(self, level):
+        gone = set()
+        for j in self._chosen_sets(level):
+            gone.update(level.base.set_elements(j))
+        return gone
 
 
 def hs_view(f, max_multiplicity=None, meter=None, memoized=True):

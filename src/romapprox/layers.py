@@ -1,9 +1,8 @@
 """Layered deletion oracles.
 
 An algorithm in this package runs in stages: stage i inspects the instance
-as it stands after stages 1..i-1 and deletes a set of items.  Nothing is
-ever materialized by default.  Liveness at depth i is defined level by
-level:
+as it stands after stages 1..i-1 and deletes a set of items.  Liveness at
+depth i is defined level by level:
 
 * a vertex is live at depth i when it is live at depth i-1 and the stage-i
   predicate declines to delete it;
@@ -14,14 +13,18 @@ level:
 Each stage predicate declares a words budget no larger than the module
 constant ``WORDS_PER_LEVEL``; a liveness query at depth i holds one
 budget frame per level it has yet to decide, so its charged peak is at
-most ``(i+1) * WORDS_PER_LEVEL``.  The query is one loop over the levels,
-not a recursion, so a deep stack costs no interpreter stack.  Predicates
-receive a read handle fixed to the level below them, which makes
-consulting the wrong level impossible by construction.
+most ``(i+1) * WORDS_PER_LEVEL``.  Predicates receive a read handle
+fixed to the level below them, which makes consulting the wrong level
+impossible by construction.
 
-The default mode recomputes everything and is what the space audits
-run against.  ``memoized=True`` caches liveness per level; answers are
-identical, but cached charge profiles are not audit material.
+The default mode materializes nothing: every query recomputes its item
+through the stages, one loop over the levels rather than a recursion, so
+a deep stack costs no interpreter stack.  This is what the space audits
+run against.  ``memoized=True`` is the fast mode: the view asks each
+stage for all of its deletions at once, in stage order and only when a
+query first reaches that stage, and records the stage that deleted each
+item.  Answers are identical; fast-mode charge profiles are not audit
+material.
 """
 
 from .errors import DomainError
@@ -39,6 +42,11 @@ class StagePredicate:
     declared ``words_budget`` must cover every local the check keeps
     while it runs, recursive liveness queries excluded (they carry their
     own frames).
+
+    ``deletions(level)`` returns a container of every item the stage
+    deletes from ``level``, for the fast mode.  The default asks
+    ``check`` about each live item in ascending order; stages with a
+    whole-stage solve override it.
     """
 
     def __init__(self, name, check=None, words_budget=16):
@@ -53,12 +61,19 @@ class StagePredicate:
     def check(self, level, item):
         return self._fn(level, item)
 
+    def deletions(self, level):
+        live = level.view._live
+        i = level.i
+        return [
+            x for x in range(1, level.n + 1) if live(i, x) and self.check(level, x)
+        ]
+
     def __repr__(self):
         return f"StagePredicate({self.name!r})"
 
 
-class GraphLevel:
-    """Read handle to the graph after the first ``i`` stages."""
+class _Level:
+    """Read handle to a view's instance after its first ``i`` stages."""
 
     __slots__ = ("view", "i")
 
@@ -74,19 +89,14 @@ class GraphLevel:
     def n(self):
         return self.view.base.n
 
+
+class GraphLevel(_Level):
+    """Read handle to the graph after the first ``i`` stages."""
+
+    __slots__ = ()
+
     def vertex_live(self, v):
         return self.view.vertex_live(self.i, v)
-
-    def edge_live(self, u, v):
-        return self.view.edge_live(self.i, u, v)
-
-    def vertices(self):
-        view = self.view
-        i = self.i
-        view.meter.tick_pass()
-        for v in range(1, view.base.n + 1):
-            if view.vertex_live(i, v):
-                yield v
 
     def neighbors_live(self, v):
         view = self.view
@@ -107,46 +117,17 @@ class GraphLevel:
     def ith_neighbor(self, v, j):
         return self.view.base.ith_neighbor(v, j, self.view.meter)
 
-    def degree(self, v):
-        return self.view.base.degree(v, self.view.meter)
 
-
-class FamilyLevel:
+class FamilyLevel(_Level):
     """Read handle to the set family after the first ``i`` stages."""
 
-    __slots__ = ("view", "i")
-
-    def __init__(self, view, i):
-        self.view = view
-        self.i = i
-
-    @property
-    def base(self):
-        return self.view.base
-
-    @property
-    def n(self):
-        return self.view.base.n
+    __slots__ = ()
 
     def element_live(self, e):
         return self.view.element_live(self.i, e)
 
     def set_live(self, j):
         return self.view.set_live(self.i, j)
-
-    def elements(self):
-        view = self.view
-        view.meter.tick_pass()
-        for e in range(1, view.base.n + 1):
-            if view.element_live(self.i, e):
-                yield e
-
-    def sets(self):
-        view = self.view
-        view.meter.tick_pass()
-        for j in range(1, view.base.m + 1):
-            if view.set_live(self.i, j):
-                yield j
 
     def live_set_count_containing(self, e):
         view = self.view
@@ -165,14 +146,22 @@ class FamilyLevel:
 
 class _LayeredView:
     """Stack of deletion stages over a base instance; subclasses name the
-    item kind (``_item``) and the level handle class (``_level_cls``).
+    item kind (``_item``), the level handle class (``_level_cls``) and
+    the layer kinds :func:`enumerate_stage` streams (``_kinds``).
 
-    ``_live(i, x)`` starts at the deepest level whose answer is known
-    (level 0, or a memo hit), charges the frames of all levels above it
-    at once, and runs their predicates upward, releasing each frame as
-    its predicate returns and stopping at the first deletion.  Every
+    In the default mode ``_live(i, x)`` charges the frames of levels
+    1..i at once and runs their predicates upward, releasing each frame
+    as its predicate returns and stopping at the first deletion.  Every
     predicate call thus holds what a level-by-level recursion would: the
     frames of its own level and of every level above it.
+
+    With ``memoized=True`` the view is the only cache.  ``_death[x]`` is
+    the stage that deleted item x (``depth + 1`` while none has), so
+    ``_live(i, x)`` is ``_death[x] > i`` once the stages x survived are
+    filled.  Stages fill in order: stage k's ``deletions`` runs the first
+    time a query asks about an item live at depth k-1, holding
+    ``_frames[k]``, which is what a depth-k query holds.  The containers
+    it returns are kept in ``_deleted``.
     """
 
     def __init__(self, base, stages, meter=None, memoized=False):
@@ -181,12 +170,15 @@ class _LayeredView:
         self.depth = len(self.stages)
         self.meter = coerce_meter(meter)
         self.memoized = memoized
-        self._memo = [{} for _ in self.stages] if memoized else None
         self._levels = [self._level_cls(self, i) for i in range(self.depth + 1)]
         frames = [0]
         for pred in self.stages:
             frames.append(frames[-1] + pred.words_budget)
         self._frames = frames
+        if memoized:
+            self._death = [self.depth + 1] * (base.n + 1)
+            self._deleted = []
+            self._live = self._recorded_live
 
     def level(self, i):
         if not 0 <= i <= self.depth:
@@ -204,24 +196,11 @@ class _LayeredView:
         """Liveness of a valid item id at a valid depth."""
         if not i:
             return True
-        memo = self._memo
-        lo = 0
-        live = True
-        if memo is not None:
-            hit = memo[i - 1].get(x)
-            if hit is not None:
-                return hit
-            lo = i - 1
-            while lo:
-                hit = memo[lo - 1].get(x)
-                if hit is not None:
-                    live = hit
-                    break
-                lo -= 1
         meter = self.meter
-        held = self._frames[i] - self._frames[lo]
+        held = self._frames[i]
         meter.alloc(held)
-        k = lo
+        k = 0
+        live = True
         try:
             stages = self.stages
             levels = self._levels
@@ -230,15 +209,39 @@ class _LayeredView:
                 live = not pred.check(levels[k], x)
                 meter.release(pred.words_budget)
                 held -= pred.words_budget
-                if memo is not None:
-                    memo[k][x] = live
                 k += 1
         finally:
             meter.release(held)
-        if memo is not None:
-            for j in range(k, i):
-                memo[j][x] = False
         return live
+
+    def _recorded_live(self, i, x):
+        """Fast-mode ``_live``: fills the stages x survived, up to i."""
+        death = self._death
+        deleted = self._deleted
+        while len(deleted) < i and death[x] > len(deleted):
+            self._fill()
+        return death[x] > i
+
+    def _fill(self):
+        """Record the deletions of the first stage not yet filled."""
+        k = len(self._deleted) + 1
+        meter = self.meter
+        meter.alloc(self._frames[k])
+        try:
+            gone = self.stages[k - 1].deletions(self._levels[k - 1])
+        finally:
+            meter.release(self._frames[k])
+        death = self._death
+        for x in gone:
+            death[x] = k
+        self._deleted.append(gone)
+
+    def stage_deletions(self, i):
+        """Fast mode: the container stage i's ``deletions`` returned,
+        filling the stages up to i that no query has reached yet."""
+        while len(self._deleted) < i:
+            self._fill()
+        return self._deleted[i - 1]
 
     def stage_deleted(self, i, x):
         """True when stage i is the one that deleted x."""
@@ -252,6 +255,7 @@ class LayeredGraphView(_LayeredView):
 
     _item = "vertex"
     _level_cls = GraphLevel
+    _kinds = ("graph", "V", "E")
 
     def __init__(self, base, stages, meter=None, memoized=False):
         if not isinstance(base, GraphInstance):
@@ -265,6 +269,14 @@ class LayeredGraphView(_LayeredView):
             raise DomainError(f"({u}, {v}) is not an edge of the base graph")
         return self.vertex_live(i, u) and self.vertex_live(i, v)
 
+    def _live_derived(self, i):
+        """Edges live at depth i: the layer derived from item liveness."""
+        return (
+            (u, v)
+            for u, v in self.base.edges
+            if self.vertex_live(i, u) and self.vertex_live(i, v)
+        )
+
 
 class LayeredFamilyView(_LayeredView):
     """Stack of element-deletion stages over a set family.
@@ -275,6 +287,7 @@ class LayeredFamilyView(_LayeredView):
 
     _item = "element"
     _level_cls = FamilyLevel
+    _kinds = ("family", "U", "F")
 
     def __init__(self, base, stages, meter=None, memoized=False):
         if not isinstance(base, SetFamilyInstance):
@@ -291,6 +304,11 @@ class LayeredFamilyView(_LayeredView):
                 return False
         return True
 
+    def _live_derived(self, i):
+        """Indices of sets live at depth i: the layer derived from item
+        liveness."""
+        return (j for j in range(1, self.base.m + 1) if self.set_live(i, j))
+
 
 def enumerate_stage(view, i, kind):
     """Stream one layer of a view in canonical input order.
@@ -300,41 +318,24 @@ def enumerate_stage(view, i, kind):
     (stage-i deletions), "U" (elements live at depth i), "F" (indices of
     sets live at depth i).
     """
-    if isinstance(view, LayeredGraphView):
-        view.meter.tick_pass()
-        if kind == "S":
-            if not 1 <= i <= view.depth:
-                raise DomainError(f"stage {i} outside 1..{view.depth}")
-            return (v for v in range(1, view.base.n + 1) if view.stage_deleted(i, v))
-        if kind == "V":
-            if not 0 <= i <= view.depth:
-                raise DomainError(f"level {i} outside 0..{view.depth}")
-            return (v for v in range(1, view.base.n + 1) if view.vertex_live(i, v))
-        if kind == "E":
-            if not 0 <= i <= view.depth:
-                raise DomainError(f"level {i} outside 0..{view.depth}")
-            return (
-                (u, v)
-                for u, v in view.base.edges
-                if view.vertex_live(i, u) and view.vertex_live(i, v)
-            )
-        raise DomainError(f"graph views stream kinds S, V, E, not {kind!r}")
-    if isinstance(view, LayeredFamilyView):
-        view.meter.tick_pass()
-        if kind == "S":
-            if not 1 <= i <= view.depth:
-                raise DomainError(f"stage {i} outside 1..{view.depth}")
-            return (e for e in range(1, view.base.n + 1) if view.stage_deleted(i, e))
-        if kind == "U":
-            if not 0 <= i <= view.depth:
-                raise DomainError(f"level {i} outside 0..{view.depth}")
-            return (e for e in range(1, view.base.n + 1) if view.element_live(i, e))
-        if kind == "F":
-            if not 0 <= i <= view.depth:
-                raise DomainError(f"level {i} outside 0..{view.depth}")
-            return (j for j in range(1, view.base.m + 1) if view.set_live(i, j))
-        raise DomainError(f"family views stream kinds S, U, F, not {kind!r}")
-    raise DomainError(f"not a layered view: {type(view).__name__}")
+    if not isinstance(view, _LayeredView):
+        raise DomainError(f"not a layered view: {type(view).__name__}")
+    view.meter.tick_pass()
+    ids = range(1, view.base.n + 1)
+    if kind == "S":
+        if not 1 <= i <= view.depth:
+            raise DomainError(f"stage {i} outside 1..{view.depth}")
+        return (x for x in ids if view.stage_deleted(i, x))
+    name, items, derived = view._kinds
+    if kind not in (items, derived):
+        raise DomainError(
+            f"{name} views stream kinds S, {items}, {derived}, not {kind!r}"
+        )
+    if not 0 <= i <= view.depth:
+        raise DomainError(f"level {i} outside 0..{view.depth}")
+    if kind == items:
+        return (x for x in ids if view._checked_live(i, x))
+    return view._live_derived(i)
 
 
 # Reusable stage predicates.  Checks are written against the level handle

@@ -450,6 +450,27 @@ def component_rep(digraph, v, meter=None):
     return _component_rep(view, v, digraph.n)[1]
 
 
+def _functional_stream(digraph, meter, metered, want):
+    """Ascending ids whose canonical cover membership equals ``want``."""
+    _require_functional(digraph)
+    meter = coerce_meter(meter)
+    view = FunctionalView(digraph, meter)
+    meter.tick_pass()
+    if metered:
+        meter.alloc(COMPONENT_WORDS)
+        try:
+            for v in range(1, digraph.n + 1):
+                if component_cover_member(view, v, digraph.n) == want:
+                    yield v
+        finally:
+            meter.release(COMPONENT_WORDS)
+    else:
+        member = fast_cover_members(view, range(1, digraph.n + 1))
+        for v in range(1, digraph.n + 1):
+            if member[v] == want:
+                yield v
+
+
 def functional_min_vc(digraph, meter=None, metered=False):
     """Stream a minimum vertex cover of a functional graph's underlying
     edges, ascending ids.
@@ -458,42 +479,10 @@ def functional_min_vc(digraph, meter=None, metered=False):
     cycle components delete the cheaper of two adjacent cycle vertices
     (minimum-id one on ties) and solve the remaining forest.
     """
-    _require_functional(digraph)
-    meter = coerce_meter(meter)
-    view = FunctionalView(digraph, meter)
-    meter.tick_pass()
-    if metered:
-        meter.alloc(COMPONENT_WORDS)
-        try:
-            for v in range(1, digraph.n + 1):
-                if component_cover_member(view, v, digraph.n):
-                    yield v
-        finally:
-            meter.release(COMPONENT_WORDS)
-    else:
-        member = fast_cover_members(view, range(1, digraph.n + 1))
-        for v in range(1, digraph.n + 1):
-            if member[v]:
-                yield v
+    yield from _functional_stream(digraph, meter, metered, True)
 
 
 def functional_max_is(digraph, meter=None, metered=False):
     """Complement stream of :func:`functional_min_vc`: a maximum
     independent set of the underlying edges."""
-    _require_functional(digraph)
-    meter = coerce_meter(meter)
-    view = FunctionalView(digraph, meter)
-    meter.tick_pass()
-    if metered:
-        meter.alloc(COMPONENT_WORDS)
-        try:
-            for v in range(1, digraph.n + 1):
-                if not component_cover_member(view, v, digraph.n):
-                    yield v
-        finally:
-            meter.release(COMPONENT_WORDS)
-    else:
-        member = fast_cover_members(view, range(1, digraph.n + 1))
-        for v in range(1, digraph.n + 1):
-            if not member[v]:
-                yield v
+    yield from _functional_stream(digraph, meter, metered, False)

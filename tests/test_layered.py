@@ -176,6 +176,22 @@ def test_bounded_mult_hs_modes_agree():
         assert list(bounded_mult_hs(f)) == list(bounded_mult_hs(f, space_audit=True))
 
 
+def test_modes_agree_on_empty_inputs():
+    for g, cover, independent in (
+        (GraphInstance(0, []), [], []),
+        (GraphInstance(4, []), [], [1, 2, 3, 4]),
+    ):
+        for space_audit in (False, True):
+            assert list(bd_vc_2approx(g, space_audit=space_audit)) == cover
+            assert list(bd_maximal_is(g, space_audit=space_audit)) == independent
+    for f, hitting in (
+        (SetFamilyInstance(3, 2, []), []),
+        (SetFamilyInstance(6, 2, [(2, 4), (4,)]), [2, 4]),
+    ):
+        for space_audit in (False, True):
+            assert list(bounded_mult_hs(f, space_audit=space_audit)) == hitting
+
+
 def test_bounded_mult_hs_declared_multiplicity():
     f = SetFamilyInstance(3, 2, [(1, 2), (2, 3)])
     with pytest.raises(DomainError):

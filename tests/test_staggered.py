@@ -129,6 +129,22 @@ def test_hs_eps_random():
             assert len(got) <= cap + 1e-9
 
 
+def test_hs_modes_agree():
+    rng = oracles.make_rng("staggered-modes")
+    no_verdicts = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        d = rng.randint(1, 3)
+        f = SetFamilyInstance(n, d, oracles.random_family(rng, n, rng.randint(0, 8), d))
+        for eps in (1 / 3, 1 / 2, 1):
+            for k in range(4):
+                fast = hs_bounded_k(f, k, eps)
+                assert fast == hs_bounded_k(f, k, eps, space_audit=True)
+                no_verdicts += fast is None
+            assert hs_eps_approx(f, eps) == hs_eps_approx(f, eps, space_audit=True)
+    assert no_verdicts
+
+
 def test_hs_sqrt_frozen():
     assert hs_sqrt_approx(SetFamilyInstance(1, 1, [(1,)])) == [1]
     f = SetFamilyInstance(3, 1, [(1,), (2,), (3,)])
