@@ -79,6 +79,16 @@ def _read(path):
 
 
 _LOADERS = {"graph": load_graph, "digraph": load_digraph, "family": load_family}
+# the instance type `exact` and `validate` read for each kind; graph otherwise
+_KIND_LOADERS = {
+    ProblemKind.HS: load_family,
+    StructureKind.TOURNAMENT: load_digraph,
+    StructureKind.FUNCTIONAL: load_digraph,
+}
+
+
+class _UsageError(Exception):
+    """A solver request the table cannot serve; reported and exits 1."""
 
 
 def _underlying(dg):
@@ -87,30 +97,21 @@ def _underlying(dg):
 
 @dataclass(frozen=True)
 class _Solver:
+    """One solve/bench row.  The output must be a ``kind`` solution of
+    ``judged(instance)`` (the instance itself when None); --compare-exact
+    measures it against the IS optimum for MAXIMAL_IS, else against
+    ``kind``'s.  ``structure`` is the input class --check-structure tests."""
+
     name: str
     loader: str
     run: callable
-    check: callable
-    target: callable
-    maximize: bool = False
-    structure: callable = None
+    kind: ProblemKind
+    judged: callable = None
+    structure: StructureKind = None
     needs: tuple = ()
 
-
-def _check_kind(kind):
-    return lambda inst, sol: exact.validate(kind, inst, sol)[0]
-
-
-def _target_kind(kind):
-    return lambda inst: (kind, inst)
-
-
-def _check_underlying(kind):
-    return lambda dg, sol: exact.validate(kind, _underlying(dg), sol)[0]
-
-
-def _target_underlying(kind):
-    return lambda dg: (kind, _underlying(dg))
+    def judge(self, inst):
+        return inst if self.judged is None else self.judged(inst)
 
 
 def _del_pi_solver(problem, loader, structure=None):
@@ -120,10 +121,8 @@ def _del_pi_solver(problem, loader, structure=None):
         lambda inst, a, m: del_pi_approx(
             inst, problem, a.epsilon, meter=m, space_audit=a.space_audit
         ),
-        lambda inst, sol: exact.validate(
-            ProblemKind.HS, forbidden_family(inst, problem), sol
-        )[0],
-        lambda inst: (ProblemKind.HS, forbidden_family(inst, problem)),
+        ProblemKind.HS,
+        judged=lambda inst: forbidden_family(inst, problem),
         structure=structure,
         needs=("epsilon",),
     )
@@ -145,36 +144,32 @@ SOLVERS = {
     ("vc", "tree"): _Solver(
         "tree_min_vc",
         "graph",
-        lambda g, a, m: list(tree_min_vc(g, meter=m, metered=a.space_audit)),
-        _check_kind(ProblemKind.VC),
-        _target_kind(ProblemKind.VC),
-        structure=lambda a: (StructureKind.TREE, None),
+        lambda g, a, m: tree_min_vc(g, meter=m, metered=a.space_audit),
+        ProblemKind.VC,
+        structure=StructureKind.TREE,
     ),
     ("is", "tree"): _Solver(
         "tree_max_is",
         "graph",
-        lambda g, a, m: list(tree_max_is(g, meter=m, metered=a.space_audit)),
-        _check_kind(ProblemKind.IS),
-        _target_kind(ProblemKind.IS),
-        maximize=True,
-        structure=lambda a: (StructureKind.TREE, None),
+        lambda g, a, m: tree_max_is(g, meter=m, metered=a.space_audit),
+        ProblemKind.IS,
+        structure=StructureKind.TREE,
     ),
     ("vc", "functional"): _Solver(
         "functional_min_vc",
         "digraph",
-        lambda dg, a, m: list(functional_min_vc(dg, meter=m, metered=a.space_audit)),
-        _check_underlying(ProblemKind.VC),
-        _target_underlying(ProblemKind.VC),
-        structure=lambda a: (StructureKind.FUNCTIONAL, None),
+        lambda dg, a, m: functional_min_vc(dg, meter=m, metered=a.space_audit),
+        ProblemKind.VC,
+        judged=_underlying,
+        structure=StructureKind.FUNCTIONAL,
     ),
     ("is", "functional"): _Solver(
         "functional_max_is",
         "digraph",
-        lambda dg, a, m: list(functional_max_is(dg, meter=m, metered=a.space_audit)),
-        _check_underlying(ProblemKind.IS),
-        _target_underlying(ProblemKind.IS),
-        maximize=True,
-        structure=lambda a: (StructureKind.FUNCTIONAL, None),
+        lambda dg, a, m: functional_max_is(dg, meter=m, metered=a.space_audit),
+        ProblemKind.IS,
+        judged=_underlying,
+        structure=StructureKind.FUNCTIONAL,
     ),
     ("vc", "bounded-degree"): _Solver(
         "bd_vc_2approx",
@@ -182,8 +177,7 @@ SOLVERS = {
         lambda g, a, m: bd_vc_2approx(
             g, max_degree=a.d, meter=m, space_audit=a.space_audit
         ),
-        _check_kind(ProblemKind.VC),
-        _target_kind(ProblemKind.VC),
+        ProblemKind.VC,
     ),
     ("is", "maximal"): _Solver(
         "bd_maximal_is",
@@ -191,17 +185,13 @@ SOLVERS = {
         lambda g, a, m: bd_maximal_is(
             g, max_degree=a.d, meter=m, space_audit=a.space_audit
         ),
-        _check_kind(ProblemKind.MAXIMAL_IS),
-        _target_kind(ProblemKind.IS),
-        maximize=True,
+        ProblemKind.MAXIMAL_IS,
     ),
     ("is", "avg-degree"): _Solver(
         "avg_degree_is",
         "graph",
         lambda g, a, m: avg_degree_is(g, meter=m),
-        _check_kind(ProblemKind.IS),
-        _target_kind(ProblemKind.IS),
-        maximize=True,
+        ProblemKind.IS,
     ),
     ("hs", "multiplicity"): _Solver(
         "bounded_mult_hs",
@@ -209,49 +199,41 @@ SOLVERS = {
         lambda f, a, m: bounded_mult_hs(
             f, max_multiplicity=a.delta, meter=m, space_audit=a.space_audit
         ),
-        _check_kind(ProblemKind.HS),
-        _target_kind(ProblemKind.HS),
+        ProblemKind.HS,
     ),
     ("hs", "staggered"): _Solver(
         "hs_bounded_k",
         "family",
         _run_staggered_hs,
-        _check_kind(ProblemKind.HS),
-        _target_kind(ProblemKind.HS),
+        ProblemKind.HS,
         needs=("epsilon",),
     ),
     ("hs", "sqrt"): _Solver(
         "hs_sqrt_approx",
         "family",
         lambda f, a, m: hs_sqrt_approx(f, meter=m),
-        _check_kind(ProblemKind.HS),
-        _target_kind(ProblemKind.HS),
+        ProblemKind.HS,
     ),
     ("ds", "c4free"): _Solver(
         "c4free_ds",
         "graph",
         _run_c4free_ds,
-        _check_kind(ProblemKind.DS),
-        _target_kind(ProblemKind.DS),
-        structure=lambda a: (StructureKind.C4_FREE, None),
+        ProblemKind.DS,
+        structure=StructureKind.C4_FREE,
     ),
     ("ds", "degenerate"): _Solver(
         "dgn_dom_set",
         "graph",
         lambda g, a, m: dgn_dom_set(g, d=a.d, meter=m, space_audit=a.space_audit),
-        _check_kind(ProblemKind.DS),
-        _target_kind(ProblemKind.DS),
-        structure=lambda a: (
-            (StructureKind.DEGENERATE, a.d) if a.d is not None else None
-        ),
+        ProblemKind.DS,
+        structure=StructureKind.DEGENERATE,
     ),
     ("ds", "regular"): _Solver(
         "regular_ds_derand",
         "graph",
         lambda g, a, m: regular_ds_derand(g, a.d, meter=m),
-        _check_kind(ProblemKind.DS),
-        _target_kind(ProblemKind.DS),
-        structure=lambda a: (StructureKind.REGULAR, a.d),
+        ProblemKind.DS,
+        structure=StructureKind.REGULAR,
         needs=("d",),
     ),
     ("vc", "staggered"): _del_pi_solver("vc", "graph"),
@@ -261,9 +243,7 @@ SOLVERS = {
     ("threshold-vd", "staggered"): _del_pi_solver("threshold-vd", "graph"),
     ("split-vd", "staggered"): _del_pi_solver("split-vd", "graph"),
     ("tournament-fvs", "staggered"): _del_pi_solver(
-        "tournament-fvs",
-        "digraph",
-        structure=lambda a: (StructureKind.TOURNAMENT, None),
+        "tournament-fvs", "digraph", structure=StructureKind.TOURNAMENT
     ),
 }
 
@@ -327,65 +307,64 @@ def _emit(args, report):
         print(json.dumps(report, sort_keys=True))
 
 
-def _require_flags(spec, args):
-    missing = [
-        _FLAG_NAMES[name] for name in spec.needs if getattr(args, name) is None
-    ]
-    if missing:
-        return (
-            f"{args.problem}/{args.algorithm} requires {', '.join(missing)}"
-        )
-    return None
-
-
-def _solve_one(spec, inst, args, meter):
-    """Run one solver; returns (solution or None, runtime_ms)."""
-    start = time.perf_counter()
-    sol = spec.run(inst, args, meter)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    return sol, runtime_ms
-
-
-def cmd_solve(args):
+def _lookup(args, refuse=None):
+    """The SOLVERS row for args' pair.  A usage error names, in this
+    order, an unknown pair, ``refuse(row)``'s message, missing flags."""
     spec = SOLVERS.get((args.problem, args.algorithm))
     if spec is None:
-        return _fail(
+        raise _UsageError(
             f"no algorithm '{args.algorithm}' for problem '{args.problem}'"
         )
-    missing = _require_flags(spec, args)
-    if missing:
-        return _fail(missing)
-    inst = _LOADERS[spec.loader](_read(args.input))
-    if args.check_structure and spec.structure is not None:
-        wanted = spec.structure(args)
-        if wanted is not None:
-            kind, parameter = wanted
-            ok, witness = exact.validate(kind, inst, parameter=parameter)
-            if not ok:
-                return _fail(
-                    f"input is not {kind.value}: witness {witness}"
-                )
+    message = refuse(spec) if refuse else None
+    missing = [_FLAG_NAMES[name] for name in spec.needs if getattr(args, name) is None]
+    if message is None and missing:
+        message = f"{args.problem}/{args.algorithm} requires {', '.join(missing)}"
+    if message:
+        raise _UsageError(message)
+    return spec
+
+
+def _run(spec, inst, args):
+    """Run one solver on a fresh meter and time its whole output stream;
+    returns the report fields, or None for a NO verdict."""
     meter = WorkspaceMeter()
-    sol, runtime_ms = _solve_one(spec, inst, args, meter)
-    params = _params(args)
+    start = time.perf_counter()
+    sol = spec.run(inst, args, meter)
+    sol = None if sol is None else list(sol)
+    runtime_ms = (time.perf_counter() - start) * 1000.0
     if sol is None:
-        _emit(args, {"algorithm": spec.name, "params": params, "verdict": "NO"})
-        return 2
-    sol = list(sol)
-    report = {
-        "algorithm": spec.name,
-        "params": params,
+        return None
+    return {
         "solution": sol,
         "size": len(sol),
-        "valid": spec.check(inst, sol),
+        "valid": exact.validate(spec.kind, spec.judge(inst), sol)[0],
         "meter": _meter_block(meter),
         "runtime_ms": runtime_ms,
     }
+
+
+def cmd_solve(args):
+    spec = _lookup(args)
+    inst = _LOADERS[spec.loader](_read(args.input))
+    shape = spec.structure if args.check_structure else None
+    if shape is StructureKind.DEGENERATE and args.d is None:
+        shape = None  # no bound to check against
+    if shape is not None:
+        # --d bounds DEGENERATE and REGULAR; the other kinds ignore it
+        ok, witness = exact.validate(shape, inst, parameter=args.d)
+        if not ok:
+            return _fail(f"input is not {shape.value}: witness {witness}")
+    report = {"algorithm": spec.name, "params": _params(args)}
+    result = _run(spec, inst, args)
+    if result is None:
+        _emit(args, {**report, "verdict": "NO"})
+        return 2
+    report.update(result)
     if args.compare_exact:
-        kind, target = spec.target(inst)
-        _, opt = exact.exact_opt(kind, target)
+        target = ProblemKind.IS if spec.kind is ProblemKind.MAXIMAL_IS else spec.kind
+        _, opt = exact.exact_opt(target, spec.judge(inst))
         report["opt"] = opt
-        report["ratio"] = _ratio(len(sol), opt, spec.maximize)
+        report["ratio"] = _ratio(result["size"], opt, target is ProblemKind.IS)
     _emit(args, report)
     return 0
 
@@ -430,8 +409,7 @@ def cmd_kernel(args):
 
 def cmd_exact(args):
     kind = ProblemKind(args.problem)
-    loader = load_family if kind is ProblemKind.HS else load_graph
-    inst = loader(_read(args.input))
+    inst = _KIND_LOADERS.get(kind, load_graph)(_read(args.input))
     sol, opt = exact.exact_opt(kind, inst)
     _emit(args, {"problem": args.problem, "opt": opt, "solution": list(sol)})
     return 0
@@ -453,18 +431,12 @@ def cmd_validate(args):
         kind = ProblemKind(args.problem)
     except ValueError:
         kind = StructureKind(args.problem)
+    candidate = None
     if isinstance(kind, ProblemKind):
-        loader = load_family if kind is ProblemKind.HS else load_graph
         if args.candidate is None:
             return _fail(f"validating {kind.value} needs --candidate")
         candidate = _parse_candidate(args.candidate)
-    else:
-        if kind in (StructureKind.TOURNAMENT, StructureKind.FUNCTIONAL):
-            loader = load_digraph
-        else:
-            loader = load_graph
-        candidate = None
-    inst = loader(_read(args.input))
+    inst = _KIND_LOADERS.get(kind, load_graph)(_read(args.input))
     ok, witness = exact.validate(kind, inst, candidate=candidate, parameter=args.d)
     _emit(args, {"kind": args.problem, "ok": ok, "witness": _json_safe(witness)})
     return 0
@@ -616,65 +588,39 @@ def cmd_gen(args):
 
 
 def cmd_bench(args):
-    spec = SOLVERS.get((args.problem, args.algorithm))
-    if spec is None:
-        return _fail(
-            f"no algorithm '{args.algorithm}' for problem '{args.problem}'"
-        )
-    digraph_kind = args.kind in ("tournament", "functional")
-    if spec.loader == "family":
-        return _fail("no generator produces set families; bench covers graph problems")
-    if (spec.loader == "digraph") != digraph_kind:
-        return _fail(
-            f"generator kind '{args.kind}' does not feed a {spec.loader} algorithm"
-        )
-    missing = _require_flags(spec, args)
-    if missing:
-        return _fail(missing)
-    runs = []
-    sizes = []
-    times = []
-    peaks = []
-    for i in range(args.runs):
-        seed = args.seed + i
-        inst = _generate(args.kind, args.n, args.d, seed)
-        meter = WorkspaceMeter()
-        sol, runtime_ms = _solve_one(spec, inst, args, meter)
-        if sol is None:
+    def refuse(spec):
+        if spec.loader == "family":
+            return "no generator produces set families; bench covers graph problems"
+        if (spec.loader == "digraph") != (args.kind in ("tournament", "functional")):
+            return f"generator kind '{args.kind}' does not feed a {spec.loader} algorithm"
+        return None
+
+    spec = _lookup(args, refuse)
+    if args.runs < 1:
+        return _fail(f"--runs must be at least 1, got {args.runs}")
+    runs, solved = [], []
+    for seed in range(args.seed, args.seed + args.runs):
+        result = _run(spec, _generate(args.kind, args.n, args.d, seed), args)
+        if result is None:
             runs.append({"seed": seed, "verdict": "NO"})
             continue
-        sol = list(sol)
-        block = _meter_block(meter)
-        runs.append(
-            {
-                "seed": seed,
-                "size": len(sol),
-                "valid": spec.check(inst, sol),
-                "runtime_ms": runtime_ms,
-                "meter": block,
-            }
-        )
-        sizes.append(len(sol))
-        times.append(runtime_ms)
-        peaks.append(block["charged_peak_words"])
+        del result["solution"]
+        runs.append({"seed": seed, **result})
+        solved.append(result)
     params = _params(args)
     params.update({"kind": args.kind, "n": args.n, "runs": args.runs, "seed": args.seed})
-    aggregate = {
+    count = len(solved)
+    report = {"algorithm": spec.name, "params": params, "runs": runs}
+    report["aggregate"] = {
         "runs": args.runs,
-        "no_verdicts": args.runs - len(sizes),
-        "mean_size": sum(sizes) / len(sizes) if sizes else None,
-        "mean_runtime_ms": sum(times) / len(times) if times else None,
-        "max_charged_peak_words": max(peaks) if peaks else None,
+        "no_verdicts": args.runs - count,
+        "mean_size": sum(r["size"] for r in solved) / count if count else None,
+        "mean_runtime_ms": sum(r["runtime_ms"] for r in solved) / count if count else None,
+        "max_charged_peak_words": max(
+            (r["meter"]["charged_peak_words"] for r in solved), default=None
+        ),
     }
-    _emit(
-        args,
-        {
-            "algorithm": spec.name,
-            "params": params,
-            "runs": runs,
-            "aggregate": aggregate,
-        },
-    )
+    _emit(args, report)
     return 0
 
 
@@ -754,7 +700,7 @@ def main(argv=None):
         return args.func(args)
     except ParseError as exc:
         return _fail(str(exc))
-    except (DomainError, RefusalError, RoundLimitError, LedgerError) as exc:
+    except (_UsageError, DomainError, RefusalError, RoundLimitError, LedgerError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))

@@ -217,6 +217,23 @@ def bd_maximal_is(g, max_degree=None, meter=None, space_audit=False):
                 yield v
 
 
+def _intersection_edges(f, positions):
+    """Edges (a, b), a < b, in ascending order, of the intersection graph
+    of the sets at ascending ``positions`` (vertex a is positions[a-1]).
+    Pairs come from each element's set list, so the cost is the sum of
+    squared multiplicities, not the square of len(positions)."""
+    rank = {j: a for a, j in enumerate(positions, 1)}
+    return sorted(
+        {
+            (rank[j], rank[k])
+            for j in positions
+            for e in f.set_elements(j)
+            for k in f.sets_containing(e)
+            if k > j and k in rank
+        }
+    )
+
+
 class _HsStage(StagePredicate):
     """Deletes every element of the sets chosen at this stage.
 
@@ -243,15 +260,8 @@ class _HsStage(StagePredicate):
 
     def _chosen_sets(self, level):
         positions = self._stage_sets(level)
-        h = len(positions)
-        members = [set(level.base.set_elements(j)) for j in positions]
-        edges = [
-            (a, b)
-            for a in range(1, h + 1)
-            for b in range(a + 1, h + 1)
-            if members[a - 1] & members[b - 1]
-        ]
-        igraph = GraphInstance(h, edges)
+        edges = _intersection_edges(level.base, positions)
+        igraph = GraphInstance(len(positions), edges)
         return frozenset(
             positions[p - 1]
             for p in bd_maximal_is(

@@ -156,9 +156,9 @@ def hs_sqrt_approx(f, meter=None):
 
     Searches budgets upward for the first successful scan and returns
     every element of the retained sets; their union hits the whole
-    family.  At budget ceil(n^(1/d)) returns the ground set.
+    family.  At budget ceil(n^(1/d)) returns the ground set.  ``meter``
+    is accepted like every solver's, but nothing is charged to it.
     """
-    meter = coerce_meter(meter)
     cap = math.ceil(f.n ** (1 / f.d) - SLOP)
     for k in range(1, cap):
         retained, _, saturated_no = retention_scan(f, k)

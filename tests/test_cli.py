@@ -1,14 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from romapprox import exact
-from romapprox.cli import main
+from romapprox.cli import SOLVERS, main
 from romapprox.instances import load_digraph, load_graph
 
 TRI = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 FAM = "h 4 3 2\ns 1 2\ns 2 3\ns 3 4\n"
 C6 = "p 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 1 6\n"
+C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
+TREE6 = "p 6 5\ne 1 2\ne 2 3\ne 3 4\ne 3 5\ne 5 6\n"
+# C4-free and 2-degenerate, with triangles, P4s and a 5-cycle
+MIX = "p 7 9\ne 1 2\ne 2 3\ne 1 3\ne 3 4\ne 4 5\ne 5 6\ne 6 7\ne 4 6\ne 2 7\n"
+FAM4 = "h 5 4 3\ns 1 2\ns 2 3 4\ns 3 5\ns 1 5\n"
+FUNC = "q 6 5\na 1 2\na 2 3\na 3 1\na 4 1\na 5 4\n"
+TOUR = "q 4 6\na 1 2\na 2 3\na 3 1\na 1 4\na 2 4\na 4 3\n"
 
 REPORT_KEYS = {
     "algorithm", "params", "solution", "size", "valid", "meter", "runtime_ms",
@@ -255,8 +266,141 @@ def test_bench_cmd(capsys):
     assert code == 1
 
 
+def test_bench_rejects_runs_below_one(capsys):
+    for runs in ("0", "-2"):
+        code = main([
+            "bench", "--problem", "vc", "--algorithm", "bounded-degree",
+            "--kind", "regular", "--n", "6", "--d", "2", "--runs", runs,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --runs must be at least 1, got {runs}\n"
+
+
+def test_bench_usage_error_order(capsys):
+    # unknown pair, then the family refusal, then the generator kind,
+    # then missing flags
+    cases = [
+        (("vc", "sqrt", "tree"), "no algorithm 'sqrt' for problem 'vc'"),
+        (("hs", "staggered", "tournament"), "no generator produces set families"),
+        (("ds", "regular", "tournament"), "generator kind 'tournament' does not"),
+        (("ds", "regular", "tree"), "ds/regular requires --d"),
+    ]
+    for (problem, algorithm, kind), message in cases:
+        code = main([
+            "bench", "--problem", problem, "--algorithm", algorithm,
+            "--kind", kind, "--n", "5",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    tri = write(tmp_path, "tri.gr", TRI)
+    fam = write(tmp_path, "fam.hg", FAM)
+    bad = write(tmp_path, "bad.gr", "p 3 1\nx 1 2\n")
+    cases = [
+        (["solve", "--problem", "vc", "--algorithm", "bounded-degree",
+          "--input", tri], 0),
+        (["solve", "--problem", "hs", "--algorithm", "staggered",
+          "--epsilon", "1.0", "--k", "0", "--input", fam], 2),
+        (["solve", "--problem", "vc"], 1),
+        (["solve", "--problem", "vc", "--algorithm", "bounded-degree",
+          "--input", bad], 1),
+    ]
+    for argv, expected in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "romapprox", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert done.returncode == expected, (argv, done.stderr)
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = write(tmp_path, "bad.gr", "p 3 1\nx 1 2\n")
     code, _ = run(capsys, "solve", "--problem", "vc", "--algorithm",
                   "bounded-degree", "--input", bad)
+    assert code == 1
+
+
+# (problem, algorithm) -> (input, flags, size, opt, ratio); every row is
+# run with --compare-exact and --check-structure and must be valid.
+PER_SOLVER = {
+    ("vc", "tree"): (TREE6, (), 3, 3, 1.0),
+    ("is", "tree"): (TREE6, (), 3, 3, 1.0),
+    ("vc", "functional"): (FUNC, (), 3, 3, 1.0),
+    ("is", "functional"): (FUNC, (), 3, 3, 1.0),
+    ("vc", "bounded-degree"): (MIX, (), 4, 4, 1.0),
+    ("is", "maximal"): (MIX, (), 3, 3, 1.0),
+    ("is", "avg-degree"): (MIX, (), 3, 3, 1.0),
+    ("hs", "multiplicity"): (FAM4, (), 4, 2, 2.0),
+    ("hs", "staggered"): (FAM4, ("--epsilon", "0.5"), 4, 2, 2.0),
+    ("hs", "sqrt"): (FAM4, (), 5, 2, 2.5),
+    ("ds", "c4free"): (MIX, (), 7, 2, 3.5),
+    ("ds", "degenerate"): (MIX, ("--d", "2"), 7, 2, 3.5),
+    ("ds", "regular"): (C6, ("--d", "2"), 4, 2, 2.0),
+    ("vc", "staggered"): (MIX, ("--epsilon", "1.0"), 7, 4, 1.75),
+    ("triangle-vd", "staggered"): (MIX, ("--epsilon", "1.0"), 6, 2, 3.0),
+    ("cluster-vd", "staggered"): (MIX, ("--epsilon", "1.0"), 7, 2, 3.5),
+    ("cograph-vd", "staggered"): (MIX, ("--epsilon", "1.0"), 7, 2, 3.5),
+    ("threshold-vd", "staggered"): (MIX, ("--epsilon", "1.0"), 7, 2, 3.5),
+    ("split-vd", "staggered"): (MIX, ("--epsilon", "1.0"), 7, 2, 3.5),
+    ("tournament-fvs", "staggered"): (TOUR, ("--epsilon", "1.0"), 4, 1, 4.0),
+}
+
+
+def test_per_solver_table_covers_every_pair():
+    assert set(PER_SOLVER) == set(SOLVERS)
+
+
+@pytest.mark.parametrize("pair", sorted(PER_SOLVER), ids="/".join)
+def test_solve_every_pair_compare_exact(tmp_path, capsys, pair):
+    text, flags, size, opt, ratio = PER_SOLVER[pair]
+    code, out = run(
+        capsys, "solve", "--problem", pair[0], "--algorithm", pair[1],
+        "--input", write(tmp_path, "in.txt", text), *flags,
+        "--compare-exact", "--check-structure",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["valid"], report["size"], report["opt"], report["ratio"]) == (
+        True, size, opt, ratio,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, algorithm, text, flags, kind",
+    [
+        ("vc", "tree", C6, (), "tree"),
+        ("is", "functional", TOUR, (), "functional"),
+        ("ds", "c4free", C4, (), "c4free"),
+        ("ds", "degenerate", MIX, ("--d", "1"), "degenerate"),
+        ("ds", "regular", TREE6, ("--d", "2"), "regular"),
+        ("tournament-fvs", "staggered", FUNC, ("--epsilon", "1.0"), "tournament"),
+    ],
+)
+def test_check_structure_rejects_wrong_class(
+    tmp_path, capsys, problem, algorithm, text, flags, kind
+):
+    code = main([
+        "solve", "--problem", problem, "--algorithm", algorithm,
+        "--input", write(tmp_path, "in.txt", text), *flags, "--check-structure",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: input is not {kind}: witness ")
+
+
+def test_check_structure_skips_degenerate_without_d(tmp_path, capsys):
+    # MIX is 2-degenerate, not 1-degenerate: the check runs only with --d
+    path = write(tmp_path, "in.txt", MIX)
+    argv = ("solve", "--problem", "ds", "--algorithm", "degenerate",
+            "--input", path, "--check-structure")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+    code, _ = run(capsys, *argv, "--d", "1")
     assert code == 1

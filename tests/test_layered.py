@@ -3,6 +3,7 @@ from dataclasses import astuple
 import pytest
 
 import oracles
+from romapprox import layered
 from romapprox.errors import DomainError
 from romapprox.instances import GraphInstance, SetFamilyInstance
 from romapprox.layered import (
@@ -211,3 +212,45 @@ def test_hs_view_checks():
     view = hs_view(f, max_multiplicity=4)
     staged = [e for i in range(1, view.depth + 1) for e in enumerate_stage(view, i, "S")]
     assert staged == list(bounded_mult_hs(f, max_multiplicity=4))
+
+
+def _all_pairs_edges(f, positions):
+    members = [set(f.set_elements(j)) for j in positions]
+    h = len(positions)
+    return [
+        (a, b)
+        for a in range(1, h + 1)
+        for b in range(a + 1, h + 1)
+        if members[a - 1] & members[b - 1]
+    ]
+
+
+def test_stage_intersection_graph_matches_all_pairs(monkeypatch):
+    real = layered._intersection_edges
+    calls = []
+
+    def spy(f, positions):
+        got = real(f, positions)
+        assert got == _all_pairs_edges(f, positions)
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(layered, "_intersection_edges", spy)
+    rng = oracles.make_rng(107)
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        d = rng.randint(1, 3)
+        count = [0] * (n + 1)
+        sets = []
+        for _ in range(rng.randint(0, 8)):
+            s = rng.sample(range(1, n + 1), rng.randint(1, min(d, n)))
+            if all(count[e] < 3 for e in s):  # multiplicity at most 3
+                sets.append(tuple(s))
+                for e in s:
+                    count[e] += 1
+        f = SetFamilyInstance(n, d, sets)
+        for space_audit in (False, True):
+            list(bounded_mult_hs(f, space_audit=space_audit))
+        positions = list(range(1, f.m + 1))
+        assert real(f, positions) == _all_pairs_edges(f, positions)
+    assert calls and max(calls) > 0
