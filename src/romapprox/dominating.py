@@ -231,7 +231,9 @@ def regular_ds_derand(g, d, meter=None):
     S_f = {v : f(v) <= ceil(ln(d+1))}; the family average of |W_f| meets
     the n*(ln(d+1)+1)/(d+1) sampling bound, so the sweep's minimum does
     too.  Ties break toward the lexicographically smallest (a, b).  A
-    member is scored by |S_f| + n - |N[S_f]|; the current and the best
+    member is scored by |S_f| + n - |N[S_f]|, with N[S_f] built from
+    the adjacency of S_f read in one ``neighborhoods`` call, d*|S_f|
+    input accesses since g is d-regular.  The current and the best
     member's S_f and N[S_f] are charged to the meter, and W_f is built
     for the winner only.
 
@@ -261,8 +263,7 @@ def regular_ds_derand(g, d, meter=None):
     for sampled in cw_family(g.n, d + 1, meter).preimages(t):
         meter.tick_pass()
         covered = set(sampled)
-        for v in sampled:
-            covered.update(g.neighbors(v, meter))
+        covered.update(*g.neighborhoods(sampled, meter))
         words = len(sampled) + len(covered)
         meter.alloc(words)
         size = len(sampled) + g.n - len(covered)

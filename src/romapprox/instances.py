@@ -43,7 +43,7 @@ def _check_id(lineno, value, n, what):
 class GraphInstance:
     """Undirected simple graph with input-ordered adjacency."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_edge_set")
+    __slots__ = ("n", "m", "edges", "_adj", "_edge_set", "_adj_by_id")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -66,6 +66,7 @@ class GraphInstance:
         self.m = len(self.edges)
         self._adj = [tuple(a) for a in adj]
         self._edge_set = seen
+        self._adj_by_id = None
 
     def degree(self, v, meter=None):
         if not 1 <= v <= self.n:
@@ -91,6 +92,27 @@ class GraphInstance:
         if meter is not None:
             meter.access(len(self._adj[v]))
         return self._adj[v]
+
+    def neighborhoods(self, vs, meter=None):
+        """The tuples ``neighbors`` returns for each vertex of ``vs``, in
+        its order, read in one call.
+
+        The first id of ``vs`` outside 1..n raises the DomainError
+        ``neighbors`` raises, before anything is charged.  The meter is
+        charged one access per word read, the summed degree of ``vs``, in
+        a single ``access`` call; an empty ``vs`` charges 0.
+        """
+        by_id = self._adj_by_id
+        if by_id is None:
+            # keyed 1..n, so one lookup both validates an id and reads it
+            by_id = self._adj_by_id = dict(enumerate(self._adj[1:], start=1))
+        try:
+            out = [by_id[v] for v in vs]
+        except KeyError as exc:
+            raise DomainError(f"vertex {exc.args[0]} out of range 1..{self.n}") from None
+        if meter is not None:
+            meter.access(sum(map(len, out)))
+        return out
 
     def has_edge(self, u, v, meter=None):
         if not (1 <= u <= self.n and 1 <= v <= self.n):

@@ -388,21 +388,43 @@ def _nbr_sets(n, edges):
     return nbr
 
 
+def _avg_is_preimages(n, edges):
+    """S = f^-1(1) of every member, range size k = ceil(2m/n), m >= 1."""
+    k = -(-2 * len(edges) // n)
+    for row in _cw_value_rows(n, k):
+        yield {x for x in range(1, n + 1) if row[x - 1] == 1}
+
+
+def _avg_is_winner(n, edges):
+    """The first S maximizing |S| - m_S."""
+    best, best_score = None, None
+    for s in _avg_is_preimages(n, edges):
+        score = len(s) - sum(1 for u, v in edges if u in s and v in s)
+        if best is None or score > best_score:
+            best, best_score = s, score
+    return best
+
+
 def avg_degree_is_sweep(n, edges):
     """Brute-force avg_degree_is: the first member maximizing |S| - m_S
     over S = f^-1(1), k = ceil(2m/n), then the vertices of S smaller
     than all their neighbours in S."""
     if not edges:
         return list(range(1, n + 1))
-    k = -(-2 * len(edges) // n)
-    best, best_score = None, None
-    for row in _cw_value_rows(n, k):
-        s = {x for x in range(1, n + 1) if row[x - 1] == 1}
-        score = len(s) - sum(1 for u, v in edges if u in s and v in s)
-        if best is None or score > best_score:
-            best, best_score = s, score
+    best = _avg_is_winner(n, edges)
     nbr = _nbr_sets(n, edges)
     return sorted(v for v in best if all(w > v for w in nbr[v] & best))
+
+
+def avg_degree_is_accesses(n, edges):
+    """Input accesses avg_degree_is charges: the summed degree of every
+    member's S = f^-1(1), plus that of the winner's S for the final
+    scan; 0 on an edgeless graph."""
+    if not edges:
+        return 0
+    nbr = _nbr_sets(n, edges)
+    swept = sum(len(nbr[v]) for s in _avg_is_preimages(n, edges) for v in s)
+    return swept + sum(len(nbr[v]) for v in _avg_is_winner(n, edges))
 
 
 def regular_ds_sweep(n, edges, d):

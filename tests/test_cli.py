@@ -404,3 +404,20 @@ def test_check_structure_skips_degenerate_without_d(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
     code, _ = run(capsys, *argv, "--d", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("mode", [(), ("--space-audit",)])
+def test_degenerate_understated_d_hits_round_limit(tmp_path, capsys, mode):
+    # K5 is 4-degenerate; with --d 1 the peeling never empties w_h and
+    # must stop at the round cap instead of looping
+    k5 = "p 5 10\n" + "".join(
+        f"e {u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)
+    )
+    code = main([
+        "solve", "--problem", "ds", "--algorithm", "degenerate", "--d", "1",
+        "--input", write(tmp_path, "k5.gr", k5), *mode,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "denser than 1-degenerate" in captured.err

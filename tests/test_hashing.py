@@ -143,7 +143,11 @@ def test_avg_is_meter():
     c6 = GraphInstance(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
     out, snap = with_meter(lambda m: avg_degree_is(c6, m))
     assert out == [2, 4, 6]
-    assert (snap.input_accesses, snap.pass_estimate) == (258, 42)
+    # p = 7 and k = 2, so each of the 42 members sends c = 4 of the 7
+    # residues to 1: summed over members, |S_f| is n(p-1)c = 144, each
+    # vertex of degree 2, so the sweep reads 2*144 = 288 adjacency words;
+    # the winner's final scan over S* = {2, 4, 6} reads 2*3 = 6 more.
+    assert (snap.input_accesses, snap.pass_estimate) == (294, 42)
     assert snap.charged_peak > 0
     rng = oracles.make_rng("avg-is-meter")
     for _ in range(40):
@@ -151,6 +155,20 @@ def test_avg_is_meter():
         g = GraphInstance(n, oracles.random_graph(rng, n, rng.uniform(0.1, 0.8)))
         _, snap = with_meter(lambda m: avg_degree_is(g, m))
         assert (snap.charged_peak > 0) == (g.m > 0)
+
+
+def test_avg_is_accesses_match_oracle():
+    rng = oracles.make_rng("avg-is-accesses")
+    ks = set()
+    for _ in range(60):
+        n = rng.randint(2, 13)
+        edges = oracles.random_graph(rng, n, rng.choice((0.1, 0.25, 0.5, 0.9)))
+        g = GraphInstance(n, edges)
+        _, snap = with_meter(lambda m: avg_degree_is(g, m))
+        assert snap.input_accesses == oracles.avg_degree_is_accesses(n, edges)
+        if edges:
+            ks.add(-(-2 * len(edges) // n))
+    assert {1, 2} <= ks and max(ks) >= 3
 
 
 def test_avg_is_rejects():

@@ -128,6 +128,24 @@ def test_metered_accessors_charge_input_accesses():
     assert m.charged_peak == 0
 
 
+def test_neighborhoods_empty_and_out_of_range():
+    g = load_graph(PATH4)
+    m = WorkspaceMeter()
+    assert g.neighborhoods([], meter=m) == []
+    assert m.input_accesses == 0
+    for bad in (0, 5):
+        with pytest.raises(DomainError) as single:
+            g.neighbors(bad)
+        for vs in ([bad], [bad, 1, 2], [1, bad, 3], [2, 3, bad]):
+            fresh = load_graph(PATH4)
+            for graph in (fresh, g):  # id index not yet built, and built
+                m = WorkspaceMeter()
+                with pytest.raises(DomainError) as bulk:
+                    graph.neighborhoods(vs, meter=m)
+                assert str(bulk.value) == str(single.value)
+                assert m.input_accesses == 0
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=9))
@@ -169,3 +187,14 @@ def digraphs(draw):
 @given(digraphs())
 def test_digraph_round_trip(g):
     assert load_digraph(serialize_digraph(g)) == g
+
+
+@given(st.data())
+def test_neighborhoods_match_neighbors(data):
+    g = data.draw(graphs())
+    vs = data.draw(st.lists(st.integers(min_value=1, max_value=g.n), max_size=12))
+    m = WorkspaceMeter()
+    got = g.neighborhoods(vs, meter=m)
+    assert got == [g.neighbors(v) for v in vs]
+    assert m.input_accesses == sum(g.degree(v) for v in vs)
+    assert g.neighborhoods(vs) == got
