@@ -45,19 +45,25 @@ class StageSubgraph:
         self.level = level
         self.i = i
 
-    def contains(self, v):
-        return self.level.vertex_live(v)
-
     def out(self, v):
-        w = self.level.ith_neighbor(v, self.i)
-        if w is None or not self.level.vertex_live(w):
+        """v's rank-i base neighbor when it is live, else None: one
+        access for the rank-i word, then that neighbor's liveness walk.
+        Ids come from the base adjacency, so none is re-validated."""
+        view = self.level.view
+        view.meter.access()
+        around = view.base.neighbors(v)
+        i = self.i
+        if i > len(around):
             return None
-        return w
+        w = around[i - 1]
+        return w if view._live(self.level.i, w) else None
 
     def in_nbrs(self, v):
-        """Live neighbors w whose rank-i neighbor is v: the probes of
-        :meth:`GraphLevel.neighbors_live`, inlined in this innermost
-        audited loop, plus one to read w's rank-i neighbor."""
+        """Live neighbors w whose rank-i neighbor is v, in v's adjacency
+        order.  Each base neighbor w costs two accesses, the neighbor
+        word and w's rank-i word, and the cheap rank test runs first:
+        w's recursive liveness walk is only asked for when w's rank-i
+        neighbor is v."""
         level = self.level
         view = level.view
         base = view.base
@@ -66,12 +72,10 @@ class StageSubgraph:
         depth = level.i
         i = self.i
         for w in base.neighbors(v):
-            meter.access()
-            if live(depth, w):
-                meter.access()
-                around = base.neighbors(w)
-                if i <= len(around) and around[i - 1] == v:
-                    yield w
+            meter.access(2)
+            around = base.neighbors(w)
+            if i <= len(around) and around[i - 1] == v and live(depth, w):
+                yield w
 
 
 class _CoverStage(StagePredicate):
@@ -111,13 +115,22 @@ class _IndepStage(StagePredicate):
         self.i = i
 
     def _kept(self, level, v):
+        """Is v a machine vertex with no smaller kept live neighbor?
+
+        Each base neighbor w costs one access, and the cheap test
+        ``w < v`` runs first: w's liveness walk and its own kept query
+        are only asked for when w is smaller than v."""
         if component_cover_member(StageSubgraph(level, self.i), v, level.n):
             return False
-        meter = level.view.meter
+        view = level.view
+        meter = view.meter
+        live = view._live
+        depth = level.i
         meter.alloc(KEPT_FRAME_WORDS)
         try:
-            for w in level.neighbors_live(v):
-                if w < v and self._kept(level, w):
+            for w in level.base.neighbors(v):
+                meter.access()
+                if w < v and live(depth, w) and self._kept(level, w):
                     return False
             return True
         finally:

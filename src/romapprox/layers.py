@@ -114,9 +114,6 @@ class GraphLevel(_Level):
             count += 1
         return count
 
-    def ith_neighbor(self, v, j):
-        return self.view.base.ith_neighbor(v, j, self.view.meter)
-
 
 class FamilyLevel(_Level):
     """Read handle to the set family after the first ``i`` stages."""

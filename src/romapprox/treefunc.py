@@ -3,7 +3,6 @@ functional graphs.
 
 Everything here works against a tiny rooted-forest protocol:
 
-* ``contains(v)``: is v part of the view,
 * ``out(v)``: the unique out-neighbor (the parent direction), None at roots,
 * ``in_nbrs(v)``: the in-neighbors (children), in a deterministic order.
 
@@ -108,9 +107,6 @@ class RootedTreeView:
         self.root = root
         self.meter = coerce_meter(meter)
 
-    def contains(self, v):
-        return 1 <= v <= self.tree.n
-
     def out(self, v):
         if v == self.root:
             return None
@@ -133,9 +129,6 @@ class FunctionalView:
         self.digraph = digraph
         self.meter = coerce_meter(meter)
 
-    def contains(self, v):
-        return 1 <= v <= self.digraph.n
-
     def out(self, v):
         outs = self.digraph.out_neighbors(v, self.meter)
         return outs[0] if outs else None
@@ -152,9 +145,6 @@ class MaskedView:
     def __init__(self, inner, banned):
         self.inner = inner
         self.banned = banned
-
-    def contains(self, v):
-        return v != self.banned and self.inner.contains(v)
 
     def out(self, v):
         w = self.inner.out(v)
