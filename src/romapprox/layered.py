@@ -41,6 +41,8 @@ class StageSubgraph:
 
     __slots__ = ("level", "i")
 
+    undirected = False
+
     def __init__(self, level, i):
         self.level = level
         self.i = i
@@ -58,7 +60,7 @@ class StageSubgraph:
         w = around[i - 1]
         return w if view._live(self.level.i, w) else None
 
-    def in_nbrs(self, v):
+    def children(self, v, parent=None):
         """Live neighbors w whose rank-i neighbor is v, in v's adjacency
         order.  Each base neighbor w costs two accesses, the neighbor
         word and w's rank-i word, and the cheap rank test runs first:

@@ -4,7 +4,11 @@ functional graphs.
 Everything here works against a tiny rooted-forest protocol:
 
 * ``out(v)``: the unique out-neighbor (the parent direction), None at roots,
-* ``in_nbrs(v)``: the in-neighbors (children), in a deterministic order.
+* ``children(v, parent)``: v's children in a deterministic order, given
+  v's parent as the caller holds it,
+* ``undirected``: True when ``children`` needs that parent (a tree's
+  children are its neighbors other than the parent), False when a view
+  reads them directly and ignores it.
 
 A functional graph (out-degree at most one) decomposes into components
 that are either trees hanging off a sink or trees hanging off a single
@@ -20,7 +24,13 @@ minimum-id choice.
 Two execution styles share the logic: a fast path that materializes
 children lists and one membership dict per component, and a metered path
 that answers each membership query with O(1) charged words by walking
-the subtree and re-deriving structure from the read-only input.
+the subtree and re-deriving structure from the read-only input.  The
+walk holds its cursor's parent and grandparent, so descents and sibling
+steps ask the view for nothing; only a climb asks for one more ancestor.
+On a tree that ancestor comes from replaying the Euler tour of the
+queried vertex v's branch (v's subtree, v's parent masked), so a query
+costs one whole-tree replay plus at most one branch replay per vertex
+it climbs to: O(n + s_v^2) tour steps for a subtree of s_v vertices.
 """
 
 from .errors import DomainError
@@ -28,9 +38,13 @@ from .exact import StructureKind, validate
 from .instances import DigraphInstance, GraphInstance
 from .meter import coerce_meter
 
-# Charged-word frames for the metered walks: the membership machine keeps
-# (cursor, verdict, parent, sibling) plus slack; component orchestration
-# adds (representative, successor, two counters, walk cursor).
+# Charged-word frames for the metered walks.  A tree membership query
+# holds the queried vertex and its parent (the replay mask), the walk
+# cursor with its parent and grandparent, the verdict, and one (vertex,
+# slot) pair that the branch replay and the sibling scan take in turn.
+# Component orchestration adds (representative, successor, two counters,
+# walk cursor) to the directed walk's (cursor, parent, grandparent,
+# verdict).
 MACHINE_WORDS = 8
 COMPONENT_WORDS = 16
 
@@ -38,32 +52,39 @@ COMPONENT_WORDS = 16
 class EulerTourCursor:
     """Constant-state walker of a tree's closed Euler tour.
 
-    State is (current vertex, arrival index, root).  The arrival index is
-    the 1-based position of the previous vertex in current's adjacency
-    list, 0 before the first step.  Each step departs by the neighbor
-    after the arrival edge in input order, wrapping around; the tour ends
-    on returning to the root by its last adjacency slot.  Steps charge
-    primitive words, not charged words.
+    State is (current vertex, arrival index, root, masked vertex).  The
+    arrival index is the 1-based position of the previous vertex in
+    current's adjacency list, 0 before the first step.  Each step departs
+    by the neighbor after the arrival edge in input order, wrapping
+    around, and passes over the masked vertex's slot when it meets it;
+    the tour ends on arriving at the root when every later slot of the
+    root's list is the masked vertex's.  With no mask that is the root's
+    last slot and the tour covers the whole tree; with a mask it covers
+    the root's branch, the root's component once the masked vertex is
+    deleted.  Steps charge primitive words, not charged words.
 
-    A step probes current's degree, its departure slot, each slot of the
+    A step probes current's degree, its departure slot, the slot after
+    it when the departure slot holds the masked vertex, each slot of the
     next vertex's list up to the new arrival index, and the root's
-    degree whenever it arrives at the root; all are charged in one call.
-    The state is stored before each edge is handed out, so a walk
-    stopped early resumes, by ``step()`` or a fresh iteration, where it
-    stopped.
+    degree whenever it arrives at the root; arriving at the root by its
+    second-to-last slot under a mask also probes the last slot.  All of a
+    step's probes are charged in one call.  The state is stored before
+    each edge is handed out, so a walk stopped early resumes, by
+    ``step()`` or a fresh iteration, where it stopped.
     """
 
-    __slots__ = ("tree", "root", "current", "arrival", "meter", "_done")
+    __slots__ = ("tree", "root", "masked", "current", "arrival", "meter", "_done")
 
-    def __init__(self, tree, root, meter=None):
+    def __init__(self, tree, root, meter=None, masked=None):
         if not 1 <= root <= tree.n:
             raise DomainError(f"root {root} out of range 1..{tree.n}")
         self.tree = tree
         self.root = root
+        self.masked = masked
         self.current = root
         self.arrival = 0
         self.meter = coerce_meter(meter)
-        self._done = tree.degree(root) == 0
+        self._done = all(w == masked for w in tree.neighbors(root))
 
     def step(self):
         """Next tour edge (frm, to), or None once the tour is closed."""
@@ -75,19 +96,29 @@ class EulerTourCursor:
         neighbors = self.tree.neighbors
         meter = self.meter
         root = self.root
+        masked = self.masked
         cur = self.current
         arrival = self.arrival
         while not self._done:
             out = neighbors(cur)
             nxt = out[arrival % len(out)]
+            probes = 2
+            if nxt == masked:
+                nxt = out[(arrival + 1) % len(out)]
+                probes = 3
             back = neighbors(nxt)
             arrival = back.index(cur) + 1
             meter.charge_primitive()
             if nxt == root:
-                meter.access(3 + arrival)
-                self._done = arrival == len(back)
+                rest = len(back) - arrival
+                if rest == 1 and masked is not None:
+                    meter.access(probes + 2 + arrival)
+                    self._done = back[-1] == masked
+                else:
+                    meter.access(probes + 1 + arrival)
+                    self._done = rest == 0
             else:
-                meter.access(2 + arrival)
+                meter.access(probes + arrival)
             edge = (cur, nxt)
             self.current = cur = nxt
             self.arrival = arrival
@@ -95,35 +126,48 @@ class EulerTourCursor:
 
 
 class RootedTreeView:
-    """A tree rooted anywhere, exposed through the forest protocol.
+    """A branch of a tree, rooted at ``root``, exposed through the forest
+    protocol.
 
-    Each parent is re-derived by replaying the Euler tour from the root
-    until it first arrives at the queried vertex, which costs time but
-    only cursor state.
+    The branch is the whole tree when ``mask`` is None, else root's
+    component once ``mask``, root's parent in an enclosing view, is
+    deleted; ``out(root)`` is ``mask``.  No parent pointers are kept:
+    ``out(v)`` replays the branch's Euler tour until it first arrives at
+    v, which costs time but only cursor state, and ``children`` reads
+    v's list without a replay, given v's parent.
     """
 
-    def __init__(self, tree, root, meter=None):
+    undirected = True
+
+    def __init__(self, tree, root, meter=None, mask=None):
         self.tree = tree
         self.root = root
         self.meter = coerce_meter(meter)
+        self.mask = mask
 
     def out(self, v):
         if v == self.root:
-            return None
-        for frm, to in EulerTourCursor(self.tree, self.root, self.meter):
+            return self.mask
+        for frm, to in EulerTourCursor(self.tree, self.root, self.meter, self.mask):
             if to == v:
                 return frm
         raise DomainError(f"vertex {v} not reached from root {self.root}")
 
-    def in_nbrs(self, v):
-        p = self.out(v)
+    def children(self, v, parent):
         for w in self.tree.neighbors(v, self.meter):
-            if w != p:
+            if w != parent:
                 yield w
+
+    def branch(self, v):
+        """The view of v's subtree with v's parent masked, found by one
+        replay of this view's tour."""
+        return RootedTreeView(self.tree, v, self.meter, self.out(v))
 
 
 class FunctionalView:
     """A functional digraph exposed through the forest protocol."""
+
+    undirected = False
 
     def __init__(self, digraph, meter=None):
         self.digraph = digraph
@@ -133,14 +177,16 @@ class FunctionalView:
         outs = self.digraph.out_neighbors(v, self.meter)
         return outs[0] if outs else None
 
-    def in_nbrs(self, v):
+    def children(self, v, parent=None):
         return iter(self.digraph.in_neighbors(v, self.meter))
 
 
 class MaskedView:
-    """A view with one vertex deleted (its arcs vanish with it)."""
+    """A directed view with one vertex deleted (its arcs vanish with it)."""
 
     __slots__ = ("inner", "banned")
+
+    undirected = False
 
     def __init__(self, inner, banned):
         self.inner = inner
@@ -150,36 +196,62 @@ class MaskedView:
         w = self.inner.out(v)
         return None if w == self.banned else w
 
-    def in_nbrs(self, v):
-        for w in self.inner.in_nbrs(v):
+    def children(self, v, parent=None):
+        for w in self.inner.children(v):
             if w != self.banned:
                 yield w
 
 
-def _first_child(view, v):
-    for w in view.in_nbrs(v):
+# The shared walk holds (cursor, parent, grandparent).  Descents and
+# sibling steps derive the next triple from the held one; a climb asks
+# the view for one ancestor.  Directed views ignore the parent handed to
+# ``children``, so a climb leaves their grandparent unheld (None) and
+# the climb after it asks for the parent it lacks.
+
+
+def _start(view, v):
+    """The view a walk of v's subtree runs on, and v's parent as the walk
+    holds it: found by one replay on an undirected view, unused (None)
+    on a directed one."""
+    if view.undirected:
+        view = view.branch(v)
+        return view, view.out(v)
+    return view, None
+
+
+def _first_child(view, v, parent):
+    for w in view.children(v, parent):
         return w
     return None
 
 
-def _next_sibling(view, v):
-    p = view.out(v)
-    if p is None:
-        return None
+def _next_sibling(view, v, parent, grandparent):
     prev = None
-    for w in view.in_nbrs(p):
+    for w in view.children(parent, grandparent):
         if prev == v:
             return w
         prev = w
     return None
 
 
-def _descend_to_first_leaf(view, v):
+def _descend(view, v, parent, grandparent):
+    """Follow first children from v down to a leaf; returns the leaf's
+    held triple."""
     while True:
-        c = _first_child(view, v)
+        c = _first_child(view, v, parent)
         if c is None:
-            return v
-        v = c
+            return v, parent, grandparent
+        v, parent, grandparent = c, v, parent
+
+
+def _climb(view, top, parent, grandparent):
+    """The held triple after stepping up to ``parent``.  The walk ends at
+    ``top``, so nothing is asked for there."""
+    if parent == top:
+        return top, None, None
+    if grandparent is None:
+        grandparent = view.out(parent)
+    return parent, grandparent, view.out(grandparent) if view.undirected else None
 
 
 def subtree_cover_member(view, v):
@@ -190,35 +262,34 @@ def subtree_cover_member(view, v):
     verdict at any child immediately settles its parent as True,
     skipping the remaining siblings.
     """
-    cur = _descend_to_first_leaf(view, v)
+    view, parent = _start(view, v)
+    cur, parent, grandparent = _descend(view, v, parent, None)
     verdict = False
     while cur != v:
-        if not verdict:
-            cur = view.out(cur)
-            verdict = True
-        else:
-            s = _next_sibling(view, cur)
+        if verdict:
+            s = _next_sibling(view, cur, parent, grandparent)
             if s is not None:
-                cur = _descend_to_first_leaf(view, s)
+                cur, parent, grandparent = _descend(view, s, parent, grandparent)
                 verdict = False
-            else:
-                cur = view.out(cur)
-                verdict = False
+                continue
+        cur, parent, grandparent = _climb(view, v, parent, grandparent)
+        verdict = not verdict
     return verdict
 
 
 def tree_vertices(view, root):
-    """Every vertex of root's tree exactly once, constant extra state."""
-    cur = _descend_to_first_leaf(view, root)
+    """Every vertex of root's tree exactly once, in post-order, holding
+    the same words as :func:`subtree_cover_member`."""
+    view, parent = _start(view, root)
+    cur, parent, grandparent = _descend(view, root, parent, None)
     yield cur
     while cur != root:
-        s = _next_sibling(view, cur)
+        s = _next_sibling(view, cur, parent, grandparent)
         if s is not None:
-            cur = _descend_to_first_leaf(view, s)
-            yield cur
+            cur, parent, grandparent = _descend(view, s, parent, grandparent)
         else:
-            cur = view.out(cur)
-            yield cur
+            cur, parent, grandparent = _climb(view, root, parent, grandparent)
+        yield cur
 
 
 def _chase(view, v, limit):
@@ -252,7 +323,7 @@ def _masked_cover_size(view, banned):
     """Cover size for the component when ``banned`` is taken and deleted."""
     masked = MaskedView(view, banned)
     total = 1
-    for s in view.in_nbrs(banned):
+    for s in view.children(banned):
         for x in tree_vertices(masked, s):
             if subtree_cover_member(masked, x):
                 total += 1
@@ -409,10 +480,18 @@ def tree_min_vc(tree, root=1, meter=None, metered=False):
     """Stream the canonical minimum vertex cover of a tree, ascending ids.
 
     The cover takes a vertex exactly when not all of its children (under
-    the given root) are taken.  The metered mode answers each vertex by a
-    constant-state subtree walk with parents re-derived from Euler-tour
-    replays; the fast mode resolves the whole tree in one search and one
-    reverse pass.
+    the given root) are taken.  The fast mode resolves the whole tree in
+    one search and one reverse pass.
+
+    The metered mode answers each vertex v by a subtree walk in
+    ``MACHINE_WORDS`` charged words.  One replay of the whole tree's
+    Euler tour finds v's parent; the walk then holds its cursor's parent
+    and grandparent, and each climb to a vertex below v's children finds
+    the next grandparent by replaying v's branch only.  A query costs
+    O(n + s_v^2) tour steps, s_v being v's subtree size, so the stream
+    costs O(n^2 + sum of s_v^2): about n^2 on a random tree, still cubic
+    on a path rooted at one end.  The structure check that rejects
+    non-trees runs before the audited region and is not charged.
     """
     yield from _tree_stream(tree, root, meter, metered, True)
 

@@ -163,7 +163,7 @@ def tree_tau_dp(n, edges, root=1):
     return min(inc[root], exc[root])
 
 
-def euler_tour(n, edges, root):
+def euler_tour(n, edges, root, masked=None):
     """Replay a tree's closed Euler tour probe by probe.
 
     Each step leaves the current vertex by the slot after the arrival
@@ -171,8 +171,14 @@ def euler_tour(n, edges, root):
     list slot by slot for the arrival slot.  A step costs one primitive
     word and these probes: the current degree, the departure slot, each
     scanned slot, and the root's degree when the step lands on the root.
-    The tour closes on landing at the root by its last slot.  Returns
-    (edges walked, primitive words, probes).
+    The tour closes on landing at the root by its last slot.
+
+    With ``masked`` given, the tour stays in the root's branch, the
+    root's component once ``masked`` is deleted.  A departure slot that
+    holds ``masked`` is probed and passed over to the next slot, probed
+    too.  The tour closes on landing at the root when every later slot
+    holds ``masked``; when exactly one slot is left, reading it is one
+    more probe.  Returns (edges walked, primitive words, probes).
     """
     nbr = [[] for _ in range(n + 1)]
     for u, v in edges:
@@ -180,7 +186,7 @@ def euler_tour(n, edges, root):
         nbr[v].append(u)
     walked = []
     primitive = probes = 0
-    if not nbr[root]:
+    if all(w == masked for w in nbr[root]):
         return walked, primitive, probes
     cur, arrival = root, 0
     while True:
@@ -188,7 +194,11 @@ def euler_tour(n, edges, root):
         probes += 1
         degree = len(nbr[cur])
         probes += 1
-        nxt = nbr[cur][arrival % degree]
+        leave = arrival % degree
+        if nbr[cur][leave] == masked:
+            probes += 1
+            leave = (leave + 1) % degree
+        nxt = nbr[cur][leave]
         slot = 0
         while True:
             slot += 1
@@ -199,7 +209,10 @@ def euler_tour(n, edges, root):
         cur, arrival = nxt, slot
         if cur == root:
             probes += 1
-            if arrival == len(nbr[root]):
+            later = nbr[root][arrival:]
+            if masked is not None and len(later) == 1:
+                probes += 1
+            if all(w == masked for w in later):
                 return walked, primitive, probes
 
 

@@ -8,6 +8,7 @@ from romapprox.errors import DomainError
 from romapprox.instances import DigraphInstance, GraphInstance
 from romapprox.meter import WorkspaceMeter, with_meter
 from romapprox.treefunc import (
+    MACHINE_WORDS,
     EulerTourCursor,
     RootedTreeView,
     component_rep,
@@ -21,6 +22,12 @@ from romapprox.treefunc import (
 
 def path(n):
     return GraphInstance(n, [(i, i + 1) for i in range(1, n)])
+
+
+def labelled_trees(n):
+    """Every labelled tree on n vertices, as an edge list."""
+    for seq in itertools.product(range(1, n + 1), repeat=max(0, n - 2)):
+        yield oracles.prufer_decode(list(seq), n)
 
 
 def test_tree_min_vc_frozen():
@@ -80,11 +87,13 @@ def test_euler_tour_charges_primitive_words_only():
     assert snap.input_accesses > 0
 
 
-def _tour_against_oracle(n, edges, root):
+def _tour_against_oracle(n, edges, root, masked=None):
     t = GraphInstance(n, edges)
-    walked, snap = with_meter(lambda meter: list(EulerTourCursor(t, root, meter)))
+    walked, snap = with_meter(
+        lambda meter: list(EulerTourCursor(t, root, meter, masked))
+    )
     assert (walked, snap.primitive_words, snap.input_accesses) == oracles.euler_tour(
-        n, edges, root
+        n, edges, root, masked
     )
     assert snap.charged_peak == 0
     return walked
@@ -96,6 +105,18 @@ def test_euler_tour_matches_probe_oracle_on_all_small_trees():
             edges = oracles.prufer_decode(list(seq), n)
             for root in range(1, n + 1):
                 _tour_against_oracle(n, edges, root)
+
+
+def test_masked_euler_tour_walks_the_branch_on_all_small_trees():
+    # The branch tour is the plain tour of the tree with the masked
+    # vertex's edges removed; only its probes differ.
+    for n in range(2, 8):
+        for edges in labelled_trees(n):
+            for root in range(1, n + 1):
+                for masked in {w for e in edges if root in e for w in e} - {root}:
+                    walked = _tour_against_oracle(n, edges, root, masked)
+                    kept = [e for e in edges if masked not in e]
+                    assert walked == oracles.euler_tour(n, kept, root)[0]
 
 
 def test_euler_tour_matches_probe_oracle_on_stars():
@@ -122,7 +143,8 @@ def test_euler_tour_step_then_iterate_resumes():
 
 
 def test_metered_tree_meter_counts_pinned():
-    # A faster tour must charge exactly the same words and probes.
+    # Pinned to the walk that holds its parent and grandparent and
+    # replays only the queried vertex's branch.
     caterpillar = GraphInstance(
         9, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (3, 8), (5, 9)]
     )
@@ -131,7 +153,40 @@ def test_metered_tree_meter_counts_pinned():
             lambda meter: list(solve(caterpillar, meter=meter, metered=True))
         )
         assert got == want
-        assert astuple(snap) == (8, 246, 854, 1)
+        assert astuple(snap) == (8, 59, 260, 1)
+
+
+def test_metered_tree_scale_ladder():
+    # The charged peak does not grow with n; the access count is pinned.
+    snaps = {}
+    for n in (32, 128):
+        t = GraphInstance(n, oracles.random_tree_edges(oracles.make_rng(f"ladder-{n}"), n))
+        got, snaps[n] = with_meter(
+            lambda meter: list(tree_min_vc(t, meter=meter, metered=True))
+        )
+        assert got == list(tree_min_vc(t))
+    assert snaps[32].charged_peak == snaps[128].charged_peak == MACHINE_WORDS
+    assert snaps[128].input_accesses == 58297
+
+
+def _modes_agree_on_labelled_trees(n):
+    for edges in labelled_trees(n):
+        t = GraphInstance(n, edges)
+        for root in range(1, n + 1):
+            for solve in (tree_min_vc, tree_max_is):
+                assert list(solve(t, root=root, metered=True)) == list(
+                    solve(t, root=root)
+                )
+
+
+def test_metered_tree_matches_fast_on_all_small_trees():
+    for n in range(1, 7):
+        _modes_agree_on_labelled_trees(n)
+
+
+@pytest.mark.slow
+def test_metered_tree_matches_fast_on_all_seven_vertex_trees():
+    _modes_agree_on_labelled_trees(7)
 
 
 def test_tree_vertices_enumerates_once():
