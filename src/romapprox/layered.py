@@ -88,7 +88,7 @@ class _CoverStage(StagePredicate):
         self.i = i
 
     def check(self, level, v):
-        return component_cover_member(StageSubgraph(level, self.i), v, level.n)
+        return component_cover_member(StageSubgraph(level, self.i), v)
 
     def deletions(self, level):
         live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
@@ -122,7 +122,7 @@ class _IndepStage(StagePredicate):
         Each base neighbor w costs one access, and the cheap test
         ``w < v`` runs first: w's liveness walk and its own kept query
         are only asked for when w is smaller than v."""
-        if component_cover_member(StageSubgraph(level, self.i), v, level.n):
+        if component_cover_member(StageSubgraph(level, self.i), v):
             return False
         view = level.view
         meter = view.meter

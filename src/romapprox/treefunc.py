@@ -19,7 +19,12 @@ function of the subtree and can be answered by a constant-state walk.
 Cycle components are solved by deleting each of two adjacent cycle
 vertices (the minimum-id cycle vertex and its successor), solving the
 leftover forests, and keeping the smaller answer, ties to the
-minimum-id choice.
+minimum-id choice.  A component query finds that representative with
+Brent's cycle finder, O(mu + lambda) out-steps for a tail of mu and a
+cycle of lambda, plus one lap of the cycle.  A vertex off the cycle
+(every vertex of a sink component included) has no cycle vertex in its
+subtree, so neither deletion changes its answer: it is its own subtree
+cover, and only cycle vertices size the two leftover forests.
 
 Two execution styles share the logic: a fast path that materializes
 children lists and one membership dict per component, and a metered path
@@ -42,9 +47,14 @@ from .meter import coerce_meter
 # holds the queried vertex and its parent (the replay mask), the walk
 # cursor with its parent and grandparent, the verdict, and one (vertex,
 # slot) pair that the branch replay and the sibling scan take in turn.
-# Component orchestration adds (representative, successor, two counters,
-# walk cursor) to the directed walk's (cursor, parent, grandparent,
-# verdict).
+# A component query holds the queried vertex and, while it finds the
+# representative, Brent's four words (tortoise, hare, power, lam); the
+# cycle lap reuses them as cursor, stop vertex and minimum and adds the
+# on-cycle flag: 6 words.  A cycle vertex then holds the representative,
+# its successor and two counters, the child being swept, the sweep's
+# (cursor, parent, grandparent) and the inner walk's (cursor, parent,
+# grandparent, verdict): 13 words, the peak, inside the 16 charged here
+# and the 24- and 28-word stage frames that run it in ``layered.py``.
 MACHINE_WORDS = 8
 COMPONENT_WORDS = 16
 
@@ -63,12 +73,14 @@ class EulerTourCursor:
     the root's branch, the root's component once the masked vertex is
     deleted.  Steps charge primitive words, not charged words.
 
-    A step probes current's degree, its departure slot, the slot after
-    it when the departure slot holds the masked vertex, each slot of the
-    next vertex's list up to the new arrival index, and the root's
-    degree whenever it arrives at the root; arriving at the root by its
-    second-to-last slot under a mask also probes the last slot.  All of a
-    step's probes are charged in one call.  The state is stored before
+    Construction probes the root's degree, and under a mask the only
+    slot of a degree-one root, to tell whether the tour is empty.  A step
+    probes current's degree, its departure slot, the slot after it when
+    the departure slot holds the masked vertex, each slot of the next
+    vertex's list up to the new arrival index, and the root's degree
+    whenever it arrives at the root; arriving at the root by its
+    second-to-last slot under a mask also probes the last slot.  All of
+    a step's probes are charged in one call.  The state is stored before
     each edge is handed out, so a walk stopped early resumes, by
     ``step()`` or a fresh iteration, where it stopped.
     """
@@ -84,7 +96,9 @@ class EulerTourCursor:
         self.current = root
         self.arrival = 0
         self.meter = coerce_meter(meter)
-        self._done = all(w == masked for w in tree.neighbors(root))
+        around = tree.neighbors(root)
+        self.meter.access(2 if masked is not None and len(around) == 1 else 1)
+        self._done = all(w == masked for w in around)
 
     def step(self):
         """Next tour edge (frm, to), or None once the tour is closed."""
@@ -292,31 +306,40 @@ def tree_vertices(view, root):
         yield cur
 
 
-def _chase(view, v, limit):
-    cur = v
-    for _ in range(limit):
-        nxt = view.out(cur)
+def _component_rep(out, v):
+    """(representative, on_cycle) for v's component under the successor
+    function ``out``: the sink v drains to and False, or the minimum-id
+    cycle vertex and whether v lies on the cycle.
+
+    Brent's cycle finder holds four words (tortoise, hare, power, lam):
+    the tortoise jumps to the hare whenever lam, the hare's steps since
+    the last jump, reaches power, which then doubles; the hare meets the
+    tortoise once the tortoise is on the cycle and power is at least the
+    cycle length, after O(tail + cycle) steps.  One more lap from the
+    meeting vertex finds the cycle's minimum and whether v is on it.
+    """
+    tortoise = hare = v
+    power = lam = 1
+    while True:
+        nxt = out(hare)
         if nxt is None:
-            return ("sink", cur)
-        cur = nxt
-    return ("on-cycle", cur)
-
-
-def _cycle_min(view, z):
-    best = z
-    cur = view.out(z)
-    while cur != z:
+            return hare, False
+        hare = nxt
+        if hare == tortoise:
+            break
+        if lam == power:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        lam += 1
+    best, on_cycle = hare, hare == v
+    cur = out(hare)
+    while cur != hare:
         if cur < best:
             best = cur
-        cur = view.out(cur)
-    return best
-
-
-def _component_rep(view, v, limit):
-    kind, x = _chase(view, v, limit)
-    if kind == "sink":
-        return ("sink", x)
-    return ("cycle", _cycle_min(view, x))
+        on_cycle = on_cycle or cur == v
+        cur = out(cur)
+    return best, on_cycle
 
 
 def _masked_cover_size(view, banned):
@@ -330,12 +353,17 @@ def _masked_cover_size(view, banned):
     return total
 
 
-def component_cover_member(view, v, limit):
-    """Metered membership of v in the component's canonical minimum cover."""
-    kind, rep = _component_rep(view, v, limit)
-    if kind == "sink":
+def component_cover_member(view, v):
+    """Metered membership of v in the component's canonical minimum cover.
+
+    Off the cycle (every vertex of a sink component included) the answer
+    is v's own subtree cover: v's children are off the cycle too, so its
+    subtree holds neither banning candidate and either ban leaves it as
+    it is.  Only a cycle vertex pays for the two masked cover sweeps.
+    """
+    u, on_cycle = _component_rep(view.out, v)
+    if not on_cycle:
         return subtree_cover_member(view, v)
-    u = rep
     w = view.out(u)
     size_u = _masked_cover_size(view, u)
     size_w = _masked_cover_size(view, w)
@@ -374,30 +402,14 @@ def fast_cover_members(view, ids):
         if w is not None:
             kids[w].append(v)
     member = {}
-    assigned = set()
     for v in ids:
-        if v in assigned:
+        if v in member:
             continue
-        comp = [v]
-        seen = {v}
-        queue = [v]
-        for x in queue:
-            around = list(kids[x])
-            if out[x] is not None:
-                around.append(out[x])
-            for y in around:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        assigned.update(comp)
-        kind, rep = _component_rep(view, v, len(comp))
-        if kind == "sink":
-            got = _members_from_kids(kids, [rep])
+        u = _component_rep(out.__getitem__, v)[0]
+        w = out[u]
+        if w is None:
+            got = _members_from_kids(kids, [u])
         else:
-            u = rep
-            w = out[u]
-
             def masked_members(banned):
                 got = _members_from_kids(kids, kids[banned], banned=banned)
                 got[banned] = True
@@ -516,7 +528,7 @@ def component_rep(digraph, v, meter=None):
     if not 1 <= v <= digraph.n:
         raise DomainError(f"vertex {v} out of range 1..{digraph.n}")
     view = FunctionalView(digraph, meter)
-    return _component_rep(view, v, digraph.n)[1]
+    return _component_rep(view.out, v)[0]
 
 
 def _functional_stream(digraph, meter, metered, want):
@@ -529,7 +541,7 @@ def _functional_stream(digraph, meter, metered, want):
         meter.alloc(COMPONENT_WORDS)
         try:
             for v in range(1, digraph.n + 1):
-                if component_cover_member(view, v, digraph.n) == want:
+                if component_cover_member(view, v) == want:
                     yield v
         finally:
             meter.release(COMPONENT_WORDS)

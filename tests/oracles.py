@@ -168,24 +168,28 @@ def euler_tour(n, edges, root, masked=None):
 
     Each step leaves the current vertex by the slot after the arrival
     slot (input adjacency order, wrapping), then scans the next vertex's
-    list slot by slot for the arrival slot.  A step costs one primitive
-    word and these probes: the current degree, the departure slot, each
-    scanned slot, and the root's degree when the step lands on the root.
-    The tour closes on landing at the root by its last slot.
+    list slot by slot for the arrival slot.  Before the first step the
+    root's degree is probed, to tell whether the tour is empty.  A step
+    costs one primitive word and these probes: the current degree, the
+    departure slot, each scanned slot, and the root's degree when the
+    step lands on the root.  The tour closes on landing at the root by
+    its last slot.
 
     With ``masked`` given, the tour stays in the root's branch, the
     root's component once ``masked`` is deleted.  A departure slot that
     holds ``masked`` is probed and passed over to the next slot, probed
     too.  The tour closes on landing at the root when every later slot
     holds ``masked``; when exactly one slot is left, reading it is one
-    more probe.  Returns (edges walked, primitive words, probes).
+    more probe, and so is reading a degree-one root's only slot before
+    the first step.  Returns (edges walked, primitive words, probes).
     """
     nbr = [[] for _ in range(n + 1)]
     for u, v in edges:
         nbr[u].append(v)
         nbr[v].append(u)
     walked = []
-    primitive = probes = 0
+    primitive = 0
+    probes = 2 if masked is not None and len(nbr[root]) == 1 else 1
     if all(w == masked for w in nbr[root]):
         return walked, primitive, probes
     cur, arrival = root, 0
@@ -214,6 +218,24 @@ def euler_tour(n, edges, root, masked=None):
                 probes += 1
             if all(w == masked for w in later):
                 return walked, primitive, probes
+
+
+def functional_rep(arcs, v):
+    """(representative, on_cycle) of v's component in an out-degree <= 1
+    digraph, from the whole walk out of v kept in a list: the sink the
+    walk ends at and False, or the minimum id of the cycle it closes and
+    whether v is on that cycle."""
+    succ = dict(arcs)
+    walk, index = [], {}
+    x = v
+    while x is not None and x not in index:
+        index[x] = len(walk)
+        walk.append(x)
+        x = succ.get(x)
+    if x is None:
+        return walk[-1], False
+    cycle = walk[index[x]:]
+    return min(cycle), v in cycle
 
 
 # ------------------------------------------------------------ pattern scans

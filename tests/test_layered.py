@@ -1,9 +1,11 @@
+import random
 from dataclasses import astuple
 
 import pytest
 
 import oracles
 from romapprox import layered
+from romapprox.cli import _gen_regular
 from romapprox.errors import DomainError
 from romapprox.instances import GraphInstance, SetFamilyInstance
 from romapprox.layered import (
@@ -180,18 +182,35 @@ def test_audited_meter_counts_pinned():
     # Charged words and passes are fixed by the algorithm.  Input probes
     # are pinned to the documented evaluation order: a stage subgraph
     # reads w's rank-i word before asking for w's liveness, so only the
-    # walks of neighbors that point elsewhere are saved, and the forest
-    # walk asks for a parent only on a climb that does not hold it.
+    # walks of neighbors that point elsewhere are saved, the forest
+    # walk asks for a parent only on a climb that does not hold it, and
+    # the component walk finds its cycle by Brent's method and sweeps
+    # the two banned covers only for cycle vertices.
     got, snap = with_meter(
         lambda meter: list(bd_vc_2approx(PETERSEN, meter=meter, space_audit=True))
     )
     assert got == [2, 4, 7, 8, 1, 6, 5]
-    assert astuple(snap) == (72, 0, 142363, 3)
+    assert astuple(snap) == (72, 0, 36487, 3)
     got, snap = with_meter(
         lambda meter: list(bd_maximal_is(PETERSEN, meter=meter, space_audit=True))
     )
     assert got == [1, 3, 9, 10]
-    assert astuple(snap) == (96, 0, 24516, 4)
+    assert astuple(snap) == (96, 0, 14453, 4)
+
+
+def test_audited_bd_vc_accesses_scale_with_components_not_n():
+    # A component query's cost follows its own tail and cycle, so
+    # doubling n on 3-regular graphs less than quadruples the audited
+    # accesses; a chase of n steps per query made it about 7x.
+    total = {16: 0, 32: 0}
+    for n in total:
+        for seed in range(4):
+            g = _gen_regular(random.Random(seed), n, 3)
+            _, snap = with_meter(
+                lambda meter: list(bd_vc_2approx(g, meter=meter, space_audit=True))
+            )
+            total[n] += snap.input_accesses
+    assert total[32] < 4 * total[16]
 
 
 def test_bounded_mult_hs_frozen():

@@ -7,11 +7,16 @@ import oracles
 from romapprox.errors import DomainError
 from romapprox.instances import DigraphInstance, GraphInstance
 from romapprox.meter import WorkspaceMeter, with_meter
+from romapprox import treefunc
 from romapprox.treefunc import (
     MACHINE_WORDS,
     EulerTourCursor,
+    FunctionalView,
     RootedTreeView,
+    _component_rep,
+    component_cover_member,
     component_rep,
+    fast_cover_members,
     functional_max_is,
     functional_min_vc,
     tree_max_is,
@@ -144,7 +149,8 @@ def test_euler_tour_step_then_iterate_resumes():
 
 def test_metered_tree_meter_counts_pinned():
     # Pinned to the walk that holds its parent and grandparent and
-    # replays only the queried vertex's branch.
+    # replays only the queried vertex's branch; every replay also pays
+    # for the root-degree probe that tells whether its tour is empty.
     caterpillar = GraphInstance(
         9, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (3, 8), (5, 9)]
     )
@@ -153,7 +159,7 @@ def test_metered_tree_meter_counts_pinned():
             lambda meter: list(solve(caterpillar, meter=meter, metered=True))
         )
         assert got == want
-        assert astuple(snap) == (8, 59, 260, 1)
+        assert astuple(snap) == (8, 59, 274, 1)
 
 
 def test_metered_tree_scale_ladder():
@@ -166,7 +172,7 @@ def test_metered_tree_scale_ladder():
         )
         assert got == list(tree_min_vc(t))
     assert snaps[32].charged_peak == snaps[128].charged_peak == MACHINE_WORDS
-    assert snaps[128].input_accesses == 58297
+    assert snaps[128].input_accesses == 58495
 
 
 def _modes_agree_on_labelled_trees(n):
@@ -246,6 +252,99 @@ def test_component_rep_frozen():
     assert component_rep(d, 3) == 3
     assert component_rep(d, 6) == 4
     assert component_rep(d, 5) == 4
+
+
+def functional_maps(n):
+    """Every out-degree <= 1 digraph on n vertices, as an arc list: one
+    per map v -> f(v) of the n^n, a fixed point standing for no arc."""
+    for f in itertools.product(range(1, n + 1), repeat=n):
+        yield [(v, w) for v, w in enumerate(f, 1) if w != v]
+
+
+def test_functional_metered_matches_fast_on_all_small_maps():
+    checked = 0
+    for n in range(1, 6):
+        for arcs in functional_maps(n):
+            d = DigraphInstance(n, arcs)
+            for solve in (functional_min_vc, functional_max_is):
+                assert list(solve(d, metered=True)) == list(solve(d))
+            checked += 1
+    assert checked == 1 + 2**2 + 3**3 + 4**4 + 5**5
+
+
+def test_component_rep_matches_oracle():
+    for n in range(1, 6):
+        for arcs in functional_maps(n):
+            d = DigraphInstance(n, arcs)
+            view = FunctionalView(d)
+            for v in range(1, n + 1):
+                want = oracles.functional_rep(arcs, v)
+                assert _component_rep(view.out, v) == want
+                assert component_rep(d, v) == want[0]
+    rng = oracles.make_rng("component-rep")
+    for _ in range(40):
+        n = rng.randint(6, 60)
+        arcs = oracles.random_functional_arcs(rng, n)
+        d = DigraphInstance(n, arcs)
+        for v in range(1, n + 1):
+            assert component_rep(d, v) == oracles.functional_rep(arcs, v)[0]
+
+
+class CountingView:
+    """A directed view that counts its ``out`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def out(self, v):
+        self.calls += 1
+        return self.inner.out(v)
+
+
+def rho(n, tail, cycle):
+    """The path 1 -> ... -> tail + 1 into the cycle tail + 1 -> ... ->
+    tail + cycle -> tail + 1; vertices above tail + cycle are isolated."""
+    arcs = [(v, v + 1) for v in range(1, tail + cycle)]
+    arcs.append((tail + cycle, tail + 1))
+    return DigraphInstance(n, arcs)
+
+
+def test_component_rep_steps_follow_tail_and_cycle_not_n():
+    shapes = ((0, 2), (1, 3), (5, 2), (40, 3), (3, 60), (300, 7), (7, 300), (150, 150))
+    for tail, cycle in shapes:
+        calls = {}
+        for n in (tail + cycle, 1000):
+            view = CountingView(FunctionalView(rho(n, tail, cycle)))
+            calls[n] = []
+            for v in range(1, tail + cycle + 1):
+                view.calls = 0
+                assert _component_rep(view.out, v) == (tail + 1, v > tail)
+                assert view.calls <= 2 * max(0, tail + 1 - v) + 4 * cycle
+                calls[n].append(view.calls)
+        assert calls[tail + cycle] == calls[1000]
+
+
+def test_off_cycle_queries_skip_the_banned_cover_sweeps(monkeypatch):
+    swept = []
+    sweep = treefunc._masked_cover_size
+
+    def spy(view, banned):
+        swept.append(banned)
+        return sweep(view, banned)
+
+    monkeypatch.setattr(treefunc, "_masked_cover_size", spy)
+    rng = oracles.make_rng("off-cycle")
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        arcs = oracles.random_functional_arcs(rng, n)
+        view = FunctionalView(DigraphInstance(n, arcs))
+        fast = fast_cover_members(view, range(1, n + 1))
+        for v in range(1, n + 1):
+            swept.clear()
+            assert component_cover_member(view, v) == fast[v]
+            on_cycle = oracles.functional_rep(arcs, v)[1]
+            assert len(swept) == (2 if on_cycle else 0)
 
 
 def test_functional_rejects_branching():
