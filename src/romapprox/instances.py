@@ -75,17 +75,6 @@ class GraphInstance:
             meter.access()
         return len(self._adj[v])
 
-    def ith_neighbor(self, v, i, meter=None):
-        """The i-th neighbor of v (1-based, input order), or None."""
-        if not 1 <= v <= self.n:
-            raise DomainError(f"vertex {v} out of range 1..{self.n}")
-        if i < 1:
-            raise DomainError(f"neighbor index must be positive, got {i}")
-        if meter is not None:
-            meter.access()
-        a = self._adj[v]
-        return a[i - 1] if i <= len(a) else None
-
     def neighbors(self, v, meter=None):
         if not 1 <= v <= self.n:
             raise DomainError(f"vertex {v} out of range 1..{self.n}")
@@ -114,11 +103,9 @@ class GraphInstance:
             meter.access(sum(map(len, out)))
         return out
 
-    def has_edge(self, u, v, meter=None):
+    def has_edge(self, u, v):
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             raise DomainError(f"edge ({u}, {v}) out of range 1..{self.n}")
-        if meter is not None:
-            meter.access()
         key = (u, v) if u < v else (v, u)
         return key in self._edge_set
 
@@ -167,11 +154,9 @@ class DigraphInstance:
         self._in = [tuple(a) for a in into]
         self._arc_set = seen
 
-    def out_degree(self, v, meter=None):
+    def out_degree(self, v):
         if not 1 <= v <= self.n:
             raise DomainError(f"vertex {v} out of range 1..{self.n}")
-        if meter is not None:
-            meter.access()
         return len(self._out[v])
 
     def out_neighbors(self, v, meter=None):
@@ -188,11 +173,9 @@ class DigraphInstance:
             meter.access(len(self._in[v]))
         return self._in[v]
 
-    def has_arc(self, u, v, meter=None):
+    def has_arc(self, u, v):
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             raise DomainError(f"arc ({u}, {v}) out of range 1..{self.n}")
-        if meter is not None:
-            meter.access()
         return (u, v) in self._arc_set
 
     def underlying_edges(self):
@@ -262,21 +245,6 @@ class SetFamilyInstance:
         if meter is not None:
             meter.access(len(self.sets[j - 1]))
         return self.sets[j - 1]
-
-    def set_size(self, j, meter=None):
-        if not 1 <= j <= self.m:
-            raise DomainError(f"set index {j} out of range 1..{self.m}")
-        if meter is not None:
-            meter.access()
-        return len(self.sets[j - 1])
-
-    def multiplicity(self, e, meter=None):
-        """How many sets contain element e."""
-        if not 1 <= e <= self.n:
-            raise DomainError(f"element {e} out of range 1..{self.n}")
-        if meter is not None:
-            meter.access()
-        return len(self._containing[e])
 
     def sets_containing(self, e, meter=None):
         if not 1 <= e <= self.n:

@@ -59,11 +59,11 @@ MACHINE_WORDS = 8
 COMPONENT_WORDS = 16
 
 
-class EulerTourCursor:
-    """Constant-state walker of a tree's closed Euler tour.
+def euler_tour(tree, root, meter=None, masked=None):
+    """Yield the edges (frm, to) of a tree's closed Euler tour from root,
+    holding only the current vertex and its arrival index.
 
-    State is (current vertex, arrival index, root, masked vertex).  The
-    arrival index is the 1-based position of the previous vertex in
+    The arrival index is the 1-based position of the previous vertex in
     current's adjacency list, 0 before the first step.  Each step departs
     by the neighbor after the arrival edge in input order, wrapping
     around, and passes over the masked vertex's slot when it meets it;
@@ -73,70 +73,46 @@ class EulerTourCursor:
     the root's branch, the root's component once the masked vertex is
     deleted.  Steps charge primitive words, not charged words.
 
-    Construction probes the root's degree, and under a mask the only
-    slot of a degree-one root, to tell whether the tour is empty.  A step
-    probes current's degree, its departure slot, the slot after it when
-    the departure slot holds the masked vertex, each slot of the next
-    vertex's list up to the new arrival index, and the root's degree
-    whenever it arrives at the root; arriving at the root by its
+    Before the first step the root's degree is probed, and under a mask
+    the only slot of a degree-one root, to tell whether the tour is
+    empty.  A step probes current's degree, its departure slot, the slot
+    after it when the departure slot holds the masked vertex, each slot
+    of the next vertex's list up to the new arrival index, and the root's
+    degree whenever it arrives at the root; arriving at the root by its
     second-to-last slot under a mask also probes the last slot.  All of
-    a step's probes are charged in one call.  The state is stored before
-    each edge is handed out, so a walk stopped early resumes, by
-    ``step()`` or a fresh iteration, where it stopped.
+    a step's probes are charged in one call, before its edge is yielded.
     """
-
-    __slots__ = ("tree", "root", "masked", "current", "arrival", "meter", "_done")
-
-    def __init__(self, tree, root, meter=None, masked=None):
-        if not 1 <= root <= tree.n:
-            raise DomainError(f"root {root} out of range 1..{tree.n}")
-        self.tree = tree
-        self.root = root
-        self.masked = masked
-        self.current = root
-        self.arrival = 0
-        self.meter = coerce_meter(meter)
-        around = tree.neighbors(root)
-        self.meter.access(2 if masked is not None and len(around) == 1 else 1)
-        self._done = all(w == masked for w in around)
-
-    def step(self):
-        """Next tour edge (frm, to), or None once the tour is closed."""
-        for edge in self:
-            return edge
-        return None
-
-    def __iter__(self):
-        neighbors = self.tree.neighbors
-        meter = self.meter
-        root = self.root
-        masked = self.masked
-        cur = self.current
-        arrival = self.arrival
-        while not self._done:
-            out = neighbors(cur)
-            nxt = out[arrival % len(out)]
-            probes = 2
-            if nxt == masked:
-                nxt = out[(arrival + 1) % len(out)]
-                probes = 3
-            back = neighbors(nxt)
-            arrival = back.index(cur) + 1
-            meter.charge_primitive()
-            if nxt == root:
-                rest = len(back) - arrival
-                if rest == 1 and masked is not None:
-                    meter.access(probes + 2 + arrival)
-                    self._done = back[-1] == masked
-                else:
-                    meter.access(probes + 1 + arrival)
-                    self._done = rest == 0
+    if not 1 <= root <= tree.n:
+        raise DomainError(f"root {root} out of range 1..{tree.n}")
+    meter = coerce_meter(meter)
+    neighbors = tree.neighbors
+    around = neighbors(root)
+    meter.access(2 if masked is not None and len(around) == 1 else 1)
+    done = all(w == masked for w in around)
+    cur = root
+    arrival = 0
+    while not done:
+        out = neighbors(cur)
+        nxt = out[arrival % len(out)]
+        probes = 2
+        if nxt == masked:
+            nxt = out[(arrival + 1) % len(out)]
+            probes = 3
+        back = neighbors(nxt)
+        arrival = back.index(cur) + 1
+        meter.charge_primitive()
+        if nxt == root:
+            rest = len(back) - arrival
+            if rest == 1 and masked is not None:
+                meter.access(probes + 2 + arrival)
+                done = back[-1] == masked
             else:
-                meter.access(probes + arrival)
-            edge = (cur, nxt)
-            self.current = cur = nxt
-            self.arrival = arrival
-            yield edge
+                meter.access(probes + 1 + arrival)
+                done = rest == 0
+        else:
+            meter.access(probes + arrival)
+        yield cur, nxt
+        cur = nxt
 
 
 class RootedTreeView:
@@ -162,7 +138,7 @@ class RootedTreeView:
     def out(self, v):
         if v == self.root:
             return self.mask
-        for frm, to in EulerTourCursor(self.tree, self.root, self.meter, self.mask):
+        for frm, to in euler_tour(self.tree, self.root, self.meter, self.mask):
             if to == v:
                 return frm
         raise DomainError(f"vertex {v} not reached from root {self.root}")
@@ -519,16 +495,6 @@ def _require_functional(digraph):
     ok, witness = validate(StructureKind.FUNCTIONAL, digraph)
     if not ok:
         raise DomainError(f"not functional: {witness}")
-
-
-def component_rep(digraph, v, meter=None):
-    """Canonical representative of v's component: the sink it drains to,
-    or the minimum-id vertex on its cycle."""
-    _require_functional(digraph)
-    if not 1 <= v <= digraph.n:
-        raise DomainError(f"vertex {v} out of range 1..{digraph.n}")
-    view = FunctionalView(digraph, meter)
-    return _component_rep(view.out, v)[0]
 
 
 def _functional_stream(digraph, meter, metered, want):

@@ -20,6 +20,13 @@ import numpy as np
 import pytest
 
 import oracles
+from sample_stages import (
+    delete_element_min_live_id,
+    delete_high_degree,
+    delete_isolated,
+    delete_min_live_id,
+    delete_uncovered_elements,
+)
 from romapprox import (
     DigraphInstance,
     GraphInstance,
@@ -50,11 +57,6 @@ from romapprox.layers import (
     WORDS_PER_LEVEL,
     LayeredFamilyView,
     LayeredGraphView,
-    delete_element_min_live_id,
-    delete_high_degree,
-    delete_isolated,
-    delete_min_live_id,
-    delete_uncovered_elements,
     enumerate_stage,
 )
 

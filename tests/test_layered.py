@@ -67,6 +67,12 @@ def test_stage_subgraph_level_zero_probes():
                     assert meter.input_accesses - before == 2 * len(g.neighbors(v))
 
 
+def _neighbor_at(g, v, i):
+    """The i-th neighbor of v (1-based, input order), or None."""
+    a = g.neighbors(v)
+    return a[i - 1] if i <= len(a) else None
+
+
 def test_stage_subgraph_matches_brute_force():
     rng = oracles.make_rng(109)
     for _ in range(30):
@@ -80,14 +86,14 @@ def test_stage_subgraph_matches_brute_force():
                     for i in range(1, view.depth + 1):
                         sub = StageSubgraph(view.level(depth), i)
                         for v in range(1, n + 1):
-                            w = g.ith_neighbor(v, i)
+                            w = _neighbor_at(g, v, i)
                             if w is not None and not ref.vertex_live(depth, w):
                                 w = None
                             assert sub.out(v) == w
                             assert list(sub.children(v)) == [
                                 u
                                 for u in g.neighbors(v)
-                                if g.ith_neighbor(u, i) == v
+                                if _neighbor_at(g, u, i) == v
                                 and ref.vertex_live(depth, u)
                             ]
 
@@ -268,6 +274,39 @@ def test_modes_agree_on_empty_inputs():
     ):
         for space_audit in (False, True):
             assert list(bounded_mult_hs(f, space_audit=space_audit)) == hitting
+
+
+def test_modes_agree_on_a_hub_star_and_a_sunflower():
+    # Adversarial shapes: a hub of degree 23 on 24 vertices, far above
+    # n/2, with two leaf-leaf edges, and four sets sharing one core
+    # element, so every set meets every other.
+    edges = [(1, v) for v in range(2, 25)] + [(2, 3), (4, 5)]
+    g = GraphInstance(24, edges)
+    petals = [(1, v) for v in range(2, 6)]
+    f = SetFamilyInstance(5, 2, petals)
+    delta = hs_view(f).depth
+    # A hitting stage's check runs an audited bd_maximal_is on the
+    # stage's intersection graph, of max degree at most d(delta - 1),
+    # whose own view holds up to d(delta - 1) + 2 more frames.
+    got = {}
+    for solve, base, levels in (
+        (bd_vc_2approx, g, bd_vc_view(g).depth + 1),
+        (bd_maximal_is, g, bd_is_view(g).depth + 1),
+        (bounded_mult_hs, f, delta + 1 + f.d * (delta - 1) + 2),
+    ):
+        audited, snap = with_meter(
+            lambda meter: list(solve(base, meter=meter, space_audit=True))
+        )
+        assert list(solve(base)) == audited
+        assert snap.charged_peak <= levels * WORDS_PER_LEVEL
+        got[solve] = audited
+    cover = got[bd_vc_2approx]
+    assert oracles.is_vertex_cover(edges, cover)
+    assert len(cover) <= 2 * oracles.tau(24, edges)
+    assert oracles.is_maximal_independent(24, edges, got[bd_maximal_is])
+    hitting = got[bounded_mult_hs]
+    assert oracles.hits_all(petals, hitting)
+    assert len(hitting) <= f.d * oracles.min_hitting_size(petals)
 
 
 def test_bounded_mult_hs_declared_multiplicity():

@@ -7,14 +7,16 @@ from romapprox.layers import (
     LayeredFamilyView,
     LayeredGraphView,
     StagePredicate,
+    enumerate_stage,
+)
+from romapprox.meter import WorkspaceMeter, with_meter
+from sample_stages import (
     delete_element_min_live_id,
     delete_high_degree,
     delete_isolated,
     delete_min_live_id,
     delete_uncovered_elements,
-    enumerate_stage,
 )
-from romapprox.meter import WorkspaceMeter, with_meter
 
 PATH4 = GraphInstance(4, [(1, 2), (2, 3), (3, 4)])
 FAMILY = SetFamilyInstance(4, 2, [(1, 2), (2, 3), (3, 4)])
@@ -69,14 +71,6 @@ def test_set_dies_with_first_deleted_element():
     assert view.set_live(1, 2)
     assert view.stage_deleted(1, 1)
     assert not view.stage_deleted(1, 2)
-
-
-def test_edge_live_rejects_non_edges():
-    view = LayeredGraphView(PATH4, [delete_min_live_id()])
-    with pytest.raises(DomainError):
-        view.edge_live(1, 1, 3)
-    assert view.edge_live(0, 1, 2)
-    assert not view.edge_live(1, 1, 2)
 
 
 def test_level_bounds_checked():

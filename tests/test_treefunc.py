@@ -10,12 +10,11 @@ from romapprox.meter import WorkspaceMeter, with_meter
 from romapprox import treefunc
 from romapprox.treefunc import (
     MACHINE_WORDS,
-    EulerTourCursor,
     FunctionalView,
     RootedTreeView,
     _component_rep,
     component_cover_member,
-    component_rep,
+    euler_tour,
     fast_cover_members,
     functional_max_is,
     functional_min_vc,
@@ -68,22 +67,22 @@ def test_tree_rejects_non_trees_and_bad_roots():
 
 def test_euler_tour_frozen_and_lengths():
     t = path(3)
-    assert list(EulerTourCursor(t, 2)) == [(2, 1), (1, 2), (2, 3), (3, 2)]
+    assert list(euler_tour(t, 2)) == [(2, 1), (1, 2), (2, 3), (3, 2)]
     single = GraphInstance(1, [])
-    assert EulerTourCursor(single, 1).step() is None
+    assert list(euler_tour(single, 1)) == []
     rng = oracles.make_rng(5)
     for _ in range(25):
         n = rng.randint(2, 12)
         t = GraphInstance(n, oracles.random_tree_edges(rng, n))
         root = rng.randint(1, n)
-        steps = list(EulerTourCursor(t, root))
+        steps = list(euler_tour(t, root))
         assert len(steps) == 2 * (n - 1)
         assert steps[0][0] == root and steps[-1][1] == root
 
 
 def test_euler_tour_charges_primitive_words_only():
     def body(meter):
-        return list(EulerTourCursor(path(5), 1, meter=meter))
+        return list(euler_tour(path(5), 1, meter=meter))
 
     steps, snap = with_meter(body)
     assert len(steps) == 8
@@ -95,7 +94,7 @@ def test_euler_tour_charges_primitive_words_only():
 def _tour_against_oracle(n, edges, root, masked=None):
     t = GraphInstance(n, edges)
     walked, snap = with_meter(
-        lambda meter: list(EulerTourCursor(t, root, meter, masked))
+        lambda meter: list(euler_tour(t, root, meter, masked))
     )
     assert (walked, snap.primitive_words, snap.input_accesses) == oracles.euler_tour(
         n, edges, root, masked
@@ -131,20 +130,6 @@ def test_euler_tour_matches_probe_oracle_on_stars():
     for root in (1, 2, n):
         walked = _tour_against_oracle(n, edges, root)
         assert len(walked) == 2 * (n - 1)
-
-
-def test_euler_tour_step_then_iterate_resumes():
-    rng = oracles.make_rng("tour-resume")
-    for _ in range(20):
-        n = rng.randint(2, 10)
-        t = GraphInstance(n, oracles.random_tree_edges(rng, n))
-        root = rng.randint(1, n)
-        full = list(EulerTourCursor(t, root))
-        cursor = EulerTourCursor(t, root)
-        head = [cursor.step() for _ in range(rng.randint(1, len(full)))]
-        assert head + list(cursor) == full
-        assert cursor.step() is None
-        assert list(cursor) == []
 
 
 def test_metered_tree_meter_counts_pinned():
@@ -248,10 +233,10 @@ def test_functional_frozen_examples():
 
 def test_component_rep_frozen():
     d = DigraphInstance(6, [(1, 2), (2, 3), (5, 4), (4, 5), (6, 5)])
-    assert component_rep(d, 1) == 3
-    assert component_rep(d, 3) == 3
-    assert component_rep(d, 6) == 4
-    assert component_rep(d, 5) == 4
+    assert _component_rep(FunctionalView(d).out, 1)[0] == 3
+    assert _component_rep(FunctionalView(d).out, 3)[0] == 3
+    assert _component_rep(FunctionalView(d).out, 6)[0] == 4
+    assert _component_rep(FunctionalView(d).out, 5)[0] == 4
 
 
 def functional_maps(n):
@@ -280,14 +265,13 @@ def test_component_rep_matches_oracle():
             for v in range(1, n + 1):
                 want = oracles.functional_rep(arcs, v)
                 assert _component_rep(view.out, v) == want
-                assert component_rep(d, v) == want[0]
     rng = oracles.make_rng("component-rep")
     for _ in range(40):
         n = rng.randint(6, 60)
         arcs = oracles.random_functional_arcs(rng, n)
-        d = DigraphInstance(n, arcs)
+        view = FunctionalView(DigraphInstance(n, arcs))
         for v in range(1, n + 1):
-            assert component_rep(d, v) == oracles.functional_rep(arcs, v)[0]
+            assert _component_rep(view.out, v)[0] == oracles.functional_rep(arcs, v)[0]
 
 
 class CountingView:
@@ -351,7 +335,7 @@ def test_functional_rejects_branching():
     with pytest.raises(DomainError):
         list(functional_min_vc(DigraphInstance(3, [(1, 2), (1, 3)])))
     with pytest.raises(DomainError):
-        component_rep(DigraphInstance(3, [(1, 2), (1, 3)]), 1)
+        list(functional_max_is(DigraphInstance(3, [(1, 2), (1, 3)]), metered=True))
 
 
 def test_functional_modes_match_and_are_optimal():
