@@ -15,7 +15,6 @@ from .errors import DomainError, RoundLimitError
 from .exact import degeneracy
 from .hashing import cw_family
 from .instances import GraphInstance
-from .layers import LayeredGraphView, StagePredicate
 from .meter import coerce_meter
 
 
@@ -131,12 +130,6 @@ def _partition(g, y, d, meter):
     return DomPartition(y, b_h, b_l, w_h, w_l)
 
 
-def _frozen_stage(i, dead):
-    return StagePredicate(
-        f"dom-round-{i}", lambda level, v, dead=dead: v in dead, words_budget=8
-    )
-
-
 def dgn_rounds(g, d=None, meter=None, space_audit=False):
     """Yield the peeling partition at every loop boundary.
 
@@ -148,8 +141,9 @@ def dgn_rounds(g, d=None, meter=None, space_audit=False):
     rounds raises RoundLimitError, which signals that the graph is not
     actually d-degenerate.
 
-    With ``space_audit`` the per-round survivor sets are installed as
-    deletion layers and the degree tests run against the live view.
+    This route has no audited mode yet: ``space_audit`` is accepted like
+    the other solvers' and changes nothing, outputs and meter charges
+    alike.
     """
     _require_graph(g, "dgn_rounds")
     if d is None:
@@ -159,7 +153,6 @@ def dgn_rounds(g, d=None, meter=None, space_audit=False):
     meter = coerce_meter(meter)
     cap = 2 * math.ceil(math.log2(g.n + 1)) + 2
     y = set()
-    drops = []
     part = _partition(g, y, d, meter)
     rounds = 0
     while True:
@@ -172,29 +165,12 @@ def dgn_rounds(g, d=None, meter=None, space_audit=False):
                 f"still undominated after {cap} rounds; "
                 f"the input is denser than {d}-degenerate"
             )
-        if space_audit:
-            view = LayeredGraphView(
-                g,
-                [_frozen_stage(i + 1, dead) for i, dead in enumerate(drops)],
-                meter=meter,
-                memoized=False,
-            )
-            level = view.level(len(drops))
-            chosen = [
-                v for v in sorted(part.w_h) if level.degree_live(v) <= 2 * d
-            ]
-            for v in chosen:
-                y.update(level.neighbors_live(v))
-        else:
-            w_star = part.w_star
-            for v in sorted(part.w_h):
-                inside = [u for u in g.neighbors(v, meter) if u in w_star]
-                if len(inside) <= 2 * d:
-                    y.update(inside)
-        nxt = _partition(g, y, d, meter)
-        if space_audit:
-            drops.append(frozenset(part.w_star - nxt.w_star))
-        part = nxt
+        w_star = part.w_star
+        for v in sorted(part.w_h):
+            inside = [u for u in g.neighbors(v, meter) if u in w_star]
+            if len(inside) <= 2 * d:
+                y.update(inside)
+        part = _partition(g, y, d, meter)
 
 
 def dgn_dom_set(g, d=None, meter=None, space_audit=False):
@@ -205,6 +181,8 @@ def dgn_dom_set(g, d=None, meter=None, space_audit=False):
     g : GraphInstance
     d : int or None
         Degeneracy bound; computed from g when omitted.
+    space_audit : bool
+        Accepted and ignored, as in ``dgn_rounds``.
 
     Returns
     -------
@@ -218,7 +196,7 @@ def dgn_dom_set(g, d=None, meter=None, space_audit=False):
         When the round cap is exceeded, i.e. d understates the graph.
     """
     part = None
-    for part in dgn_rounds(g, d, meter=meter, space_audit=space_audit):
+    for part in dgn_rounds(g, d, meter=meter):
         pass
     return sorted(part.y | part.w_l)
 

@@ -43,13 +43,14 @@ def _check_id(lineno, value, n, what):
 class GraphInstance:
     """Undirected simple graph with input-ordered adjacency."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_edge_set", "_adj_by_id")
+    __slots__ = ("n", "m", "edges", "_adj", "_adj_by_id")
 
     def __init__(self, n, edges):
         if n < 0:
             raise DomainError(f"vertex count must be nonnegative, got {n}")
         adj = [[] for _ in range(n + 1)]
         seen = set()
+        pairs = []
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"edge ({u}, {v}) out of range 1..{n}")
@@ -59,13 +60,13 @@ class GraphInstance:
             if key in seen:
                 raise DomainError(f"duplicate edge ({u}, {v})")
             seen.add(key)
+            pairs.append((u, v))
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.edges = tuple((u, v) for u, v in edges)
-        self.m = len(self.edges)
+        self.edges = tuple(pairs)
+        self.m = len(pairs)
         self._adj = [tuple(a) for a in adj]
-        self._edge_set = seen
         self._adj_by_id = None
 
     def degree(self, v, meter=None):
@@ -106,8 +107,9 @@ class GraphInstance:
     def has_edge(self, u, v):
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             raise DomainError(f"edge ({u}, {v}) out of range 1..{self.n}")
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set
+        if len(self._adj[u]) > len(self._adj[v]):
+            u, v = v, u
+        return v in self._adj[u]
 
     def max_degree(self):
         return max((len(a) for a in self._adj[1:]), default=0)
@@ -137,6 +139,7 @@ class DigraphInstance:
         out = [[] for _ in range(n + 1)]
         into = [[] for _ in range(n + 1)]
         seen = set()
+        pairs = []
         for u, v in arcs:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"arc ({u}, {v}) out of range 1..{n}")
@@ -145,11 +148,12 @@ class DigraphInstance:
             if (u, v) in seen:
                 raise DomainError(f"duplicate arc ({u}, {v})")
             seen.add((u, v))
+            pairs.append((u, v))
             out[u].append(v)
             into[v].append(u)
         self.n = n
-        self.arcs = tuple((u, v) for u, v in arcs)
-        self.m = len(self.arcs)
+        self.arcs = tuple(pairs)
+        self.m = len(pairs)
         self._out = [tuple(a) for a in out]
         self._in = [tuple(a) for a in into]
         self._arc_set = seen

@@ -108,12 +108,6 @@ class GraphLevel(_Level):
             if live(i, w):
                 yield w
 
-    def degree_live(self, v):
-        count = 0
-        for _ in self.neighbors_live(v):
-            count += 1
-        return count
-
 
 class FamilyLevel(_Level):
     """Read handle to the set family after the first ``i`` stages."""

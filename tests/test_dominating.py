@@ -149,13 +149,36 @@ def test_dgn_random():
         assert len(out) <= (2 * d + 1) ** 2 * opt
 
 
+def _dgn_trace(g, d, space_audit):
+    """Every yielded partition, then the RoundLimitError text if one is raised."""
+
+    def body(meter):
+        parts = []
+        try:
+            for p in dgn_rounds(g, d, meter=meter, space_audit=space_audit):
+                parts.append(tuple(sorted(s) for s in (p.y, p.b_h, p.b_l, p.w_h, p.w_l)))
+        except RoundLimitError as exc:
+            parts.append(str(exc))
+        return parts
+
+    return with_meter(body)
+
+
 def test_dgn_modes_agree():
+    # understated bounds d = 0, 1, 2 make several rounds and round-cap errors
     rng = oracles.make_rng("dgn-modes")
+    multi_round = 0
     for _ in range(60):
         n = rng.randint(1, 10)
         edges = oracles.random_graph(rng, n, rng.uniform(0.1, 0.5))
         g = GraphInstance(n, edges)
         assert dgn_dom_set(g) == dgn_dom_set(g, space_audit=True)
+        for d in (None, 0, 1, 2):
+            fast = _dgn_trace(g, d, False)
+            assert _dgn_trace(g, d, True) == fast
+            parts = fast[0]
+            multi_round += isinstance(parts[-1], tuple) and len(parts) >= 3
+    assert multi_round > 0
 
 
 def test_dgn_round_limit():

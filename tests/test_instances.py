@@ -102,6 +102,16 @@ def test_constructor_validation():
         SetFamilyInstance(3, 2, [()])
 
 
+def test_constructors_read_a_generator_once():
+    edges = [(1, 2), (2, 3), (4, 1)]
+    g = GraphInstance(4, (e for e in edges))
+    assert g == GraphInstance(4, edges)
+    assert (g.m, g.neighbors(1)) == (3, (2, 4))
+    dg = DigraphInstance(4, (a for a in edges))
+    assert dg == DigraphInstance(4, edges)
+    assert (dg.m, dg.out_neighbors(1)) == (3, (2,))
+
+
 def test_accessor_domain_errors():
     g = load_graph(PATH4)
     with pytest.raises(DomainError):
@@ -190,3 +200,6 @@ def test_neighborhoods_match_neighbors(data):
     assert got == [g.neighbors(v) for v in vs]
     assert m.input_accesses == sum(g.degree(v) for v in vs)
     assert g.neighborhoods(vs) == got
+    edges = {frozenset(e) for e in g.edges}
+    ids = range(1, g.n + 1)
+    assert all(g.has_edge(u, v) == (frozenset((u, v)) in edges) for u in ids for v in ids)
