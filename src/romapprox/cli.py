@@ -100,7 +100,10 @@ class _Solver:
     """One solve/bench row.  The output must be a ``kind`` solution of
     ``judged(instance)`` (the instance itself when None); --compare-exact
     measures it against the IS optimum for MAXIMAL_IS, else against
-    ``kind``'s.  ``structure`` is the input class --check-structure tests."""
+    ``kind``'s.  ``structure`` is the input class --check-structure tests.
+    ``audited`` says --space-audit selects an audited mode (layered and
+    staggered routes, metered tree and functional walks); elsewhere the
+    flag changes nothing and reports say ``"audited": false``."""
 
     name: str
     loader: str
@@ -109,6 +112,7 @@ class _Solver:
     judged: callable = None
     structure: StructureKind = None
     needs: tuple = ()
+    audited: bool = False
 
     def judge(self, inst):
         return inst if self.judged is None else self.judged(inst)
@@ -125,6 +129,7 @@ def _del_pi_solver(problem, loader, structure=None):
         judged=lambda inst: forbidden_family(inst, problem),
         structure=structure,
         needs=("epsilon",),
+        audited=True,
     )
 
 
@@ -147,6 +152,7 @@ SOLVERS = {
         lambda g, a, m: tree_min_vc(g, meter=m, metered=a.space_audit),
         ProblemKind.VC,
         structure=StructureKind.TREE,
+        audited=True,
     ),
     ("is", "tree"): _Solver(
         "tree_max_is",
@@ -154,6 +160,7 @@ SOLVERS = {
         lambda g, a, m: tree_max_is(g, meter=m, metered=a.space_audit),
         ProblemKind.IS,
         structure=StructureKind.TREE,
+        audited=True,
     ),
     ("vc", "functional"): _Solver(
         "functional_min_vc",
@@ -162,6 +169,7 @@ SOLVERS = {
         ProblemKind.VC,
         judged=_underlying,
         structure=StructureKind.FUNCTIONAL,
+        audited=True,
     ),
     ("is", "functional"): _Solver(
         "functional_max_is",
@@ -170,6 +178,7 @@ SOLVERS = {
         ProblemKind.IS,
         judged=_underlying,
         structure=StructureKind.FUNCTIONAL,
+        audited=True,
     ),
     ("vc", "bounded-degree"): _Solver(
         "bd_vc_2approx",
@@ -178,6 +187,7 @@ SOLVERS = {
             g, max_degree=a.d, meter=m, space_audit=a.space_audit
         ),
         ProblemKind.VC,
+        audited=True,
     ),
     ("is", "maximal"): _Solver(
         "bd_maximal_is",
@@ -186,6 +196,7 @@ SOLVERS = {
             g, max_degree=a.d, meter=m, space_audit=a.space_audit
         ),
         ProblemKind.MAXIMAL_IS,
+        audited=True,
     ),
     ("is", "avg-degree"): _Solver(
         "avg_degree_is",
@@ -200,6 +211,7 @@ SOLVERS = {
             f, max_multiplicity=a.delta, meter=m, space_audit=a.space_audit
         ),
         ProblemKind.HS,
+        audited=True,
     ),
     ("hs", "staggered"): _Solver(
         "hs_bounded_k",
@@ -207,6 +219,7 @@ SOLVERS = {
         _run_staggered_hs,
         ProblemKind.HS,
         needs=("epsilon",),
+        audited=True,
     ),
     ("hs", "sqrt"): _Solver(
         "hs_sqrt_approx",
@@ -354,7 +367,11 @@ def cmd_solve(args):
         ok, witness = exact.validate(shape, inst, parameter=args.d)
         if not ok:
             return _fail(f"input is not {shape.value}: witness {witness}")
-    report = {"algorithm": spec.name, "params": _params(args)}
+    report = {
+        "algorithm": spec.name,
+        "params": _params(args),
+        "audited": args.space_audit and spec.audited,
+    }
     result = _run(spec, inst, args)
     if result is None:
         _emit(args, {**report, "verdict": "NO"})
@@ -610,7 +627,12 @@ def cmd_bench(args):
     params = _params(args)
     params.update({"kind": args.kind, "n": args.n, "runs": args.runs, "seed": args.seed})
     count = len(solved)
-    report = {"algorithm": spec.name, "params": params, "runs": runs}
+    report = {
+        "algorithm": spec.name,
+        "params": params,
+        "audited": args.space_audit and spec.audited,
+        "runs": runs,
+    }
     report["aggregate"] = {
         "runs": args.runs,
         "no_verdicts": args.runs - count,

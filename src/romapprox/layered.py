@@ -80,6 +80,37 @@ class StageSubgraph:
                 yield w
 
 
+def _stage_successors(level, i):
+    """Fast mode: stage i's successor map over the level's live vertices
+    of degree at least i and their live rank-i neighbors.  Each of the
+    first maps to its rank-i neighbor when that is live, else to None;
+    a neighbor of lower degree maps to None.  Every other live vertex is
+    isolated in the stage subgraph, so it is in no cover and not here.
+
+    One access per rank-i word read, the words ``StageSubgraph.out``
+    charges.  Stage 1 reads every vertex's degree with its rank-1 word,
+    one access per vertex, and that read orders the vertices by degree
+    (``GraphLevel.by_degree``); stage i then visits only the prefix of
+    degree at least i, so all stages together cost O(n + m).
+    """
+    alive = level.live_ids()
+    succ = {}
+    reads = 0
+    for v, around in level.by_degree():
+        if len(around) < i:
+            break
+        if v in alive:
+            reads += 1
+            w = around[i - 1]
+            if w in alive:
+                succ[v] = w
+                succ.setdefault(w, None)
+            else:
+                succ[v] = None
+    level.view.meter.access(level.n if i == 1 else reads)
+    return succ
+
+
 class _CoverStage(StagePredicate):
     """Deletes the canonical minimum cover of the stage subgraph."""
 
@@ -91,9 +122,8 @@ class _CoverStage(StagePredicate):
         return component_cover_member(StageSubgraph(level, self.i), v)
 
     def deletions(self, level):
-        live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
-        member = fast_cover_members(StageSubgraph(level, self.i), live)
-        return [u for u in live if member[u]]
+        member = fast_cover_members(_stage_successors(level, self.i))
+        return [v for v, taken in member.items() if taken]
 
 
 KEPT_FRAME_WORDS = 4
@@ -148,26 +178,33 @@ class _IndepStage(StagePredicate):
 
     def deletions(self, level):
         """Deleted vertex -> kept flag: the greedy kept set of the
-        machine's choice and every live vertex next to a kept one."""
-        live = [u for u in range(1, level.n + 1) if level.vertex_live(u)]
-        cover = fast_cover_members(StageSubgraph(level, self.i), live)
-        kept = {}
-        for v in live:
-            if not cover[v]:
-                kept[v] = not any(
-                    w < v and kept.get(w, False) for w in level.neighbors_live(v)
-                )
-        return {
-            v: kept.get(v, False)
-            for v in live
-            if kept.get(v, False)
-            or any(kept.get(w, False) for w in level.neighbors_live(v))
-        }
+        machine's choice and every live vertex next to a kept one.
 
-    def chosen(self, level, v):
-        if level.view.memoized:
-            return level.view.stage_deletions(level.i + 1).get(v, False)
-        return self._kept(level, v)
+        A machine vertex reads its adjacency up to its first smaller
+        kept neighbor, all of it when it is kept, one access per word; a
+        cover vertex reads nothing, since it dies only next to a kept
+        vertex, whose own read finds it."""
+        cover = fast_cover_members(_stage_successors(level, self.i))
+        alive = level.live_ids()
+        base = level.base
+        meter = level.view.meter
+        kept = set()
+        gone = set()
+        for v in alive:
+            if cover.get(v, False):
+                continue
+            around = base.neighbors(v)
+            read = len(around)
+            for at, w in enumerate(around, 1):
+                if w < v and w in kept:
+                    read = at
+                    break
+            else:
+                kept.add(v)
+                gone.add(v)
+                gone.update(w for w in around if w in alive)
+            meter.access(read)
+        return {v: v in kept for v in gone}
 
 
 def _resolve_bound(actual, declared, what):
@@ -224,11 +261,15 @@ def bd_maximal_is(g, max_degree=None, meter=None, space_audit=False):
     """
     view = bd_is_view(g, max_degree, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
+        view.meter.tick_pass()
+        if view.memoized:
+            kept = view.stage_deletions(i)
+            yield from sorted(v for v in kept if kept[v])
+            continue
         stage = view.stages[i - 1]
         level = view.level(i - 1)
-        view.meter.tick_pass()
         for v in range(1, g.n + 1):
-            if view.vertex_live(i - 1, v) and stage.chosen(level, v):
+            if view.vertex_live(i - 1, v) and stage._kept(level, v):
                 yield v
 
 

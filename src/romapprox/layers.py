@@ -22,9 +22,12 @@ through the stages, one loop over the levels rather than a recursion, so
 a deep stack costs no interpreter stack.  This is what the space audits
 run against.  ``memoized=True`` is the fast mode: the view asks each
 stage for all of its deletions at once, in stage order and only when a
-query first reaches that stage, and records the stage that deleted each
-item.  Answers are identical; fast-mode charge profiles are not audit
-material.
+query first reaches that stage with some item live below it, records
+the stage that deleted each item and the ids still live, and streams a
+stage as its sorted record.  A fast solve costs O(n + m) plus its
+stages' own work and charges their budget frames and the input words
+they read.  Answers are identical; fast-mode charge profiles are not
+audit material.
 """
 
 from .errors import DomainError
@@ -45,8 +48,8 @@ class StagePredicate:
 
     ``deletions(level)`` returns a container of every item the stage
     deletes from ``level``, for the fast mode.  The default asks
-    ``check`` about each live item in ascending order; stages with a
-    whole-stage solve override it.
+    ``check`` about each of ``level.live_ids()`` in ascending order;
+    stages with a whole-stage solve override it.
     """
 
     def __init__(self, name, check=None, words_budget=16):
@@ -62,11 +65,7 @@ class StagePredicate:
         return self._fn(level, item)
 
     def deletions(self, level):
-        live = level.view._live
-        i = level.i
-        return [
-            x for x in range(1, level.n + 1) if live(i, x) and self.check(level, x)
-        ]
+        return [x for x in level.live_ids() if self.check(level, x)]
 
     def __repr__(self):
         return f"StagePredicate({self.name!r})"
@@ -89,6 +88,11 @@ class _Level:
     def n(self):
         return self.view.base.n
 
+    def live_ids(self):
+        """Fast mode, while the stage above this level fills: the ids
+        live here, ascending (keys of the view's live dict)."""
+        return self.view._alive
+
 
 class GraphLevel(_Level):
     """Read handle to the graph after the first ``i`` stages."""
@@ -97,6 +101,22 @@ class GraphLevel(_Level):
 
     def vertex_live(self, v):
         return self.view.vertex_live(self.i, v)
+
+    def by_degree(self):
+        """Fast mode: ``(v, neighbors of v)`` for each vertex of degree
+        at least 1, highest degree first, ties ascending.  Counting-sorted
+        once per view in O(n + max degree) steps and uncharged: callers
+        charge the adjacency words they read."""
+        view = self.view
+        order = view._by_degree
+        if order is None:
+            base = view.base
+            buckets = [[] for _ in range(base.max_degree() + 1)]
+            for v in range(1, base.n + 1):
+                around = base.neighbors(v)
+                buckets[len(around)].append((v, around))
+            order = view._by_degree = [p for b in reversed(buckets[1:]) for p in b]
+        return order
 
     def neighbors_live(self, v):
         view = self.view
@@ -149,10 +169,15 @@ class _LayeredView:
     With ``memoized=True`` the view is the only cache.  ``_death[x]`` is
     the stage that deleted item x (``depth + 1`` while none has), so
     ``_live(i, x)`` is ``_death[x] > i`` once the stages x survived are
-    filled.  Stages fill in order: stage k's ``deletions`` runs the first
-    time a query asks about an item live at depth k-1, holding
-    ``_frames[k]``, which is what a depth-k query holds.  The containers
-    it returns are kept in ``_deleted``.
+    filled; ``_alive`` keys the ids live after the filled stages,
+    ascending (a dict, so a deletion costs O(1)).  Stages fill in order,
+    stage k when a query or a stage stream first reaches it and only
+    while some item is live at depth k-1 (else it deletes nothing,
+    unasked).  Its ``deletions`` runs once, on the level whose
+    ``live_ids()`` is ``_alive``, holding ``_frames[k]``, what a depth-k
+    query holds; the container it returns is kept in ``_deleted``.  A
+    view thus costs O(n) plus its stages' work, and charges their frames
+    and the input words they read.
     """
 
     def __init__(self, base, stages, meter=None, memoized=False):
@@ -169,6 +194,7 @@ class _LayeredView:
         if memoized:
             self._death = [self.depth + 1] * (base.n + 1)
             self._deleted = []
+            self._alive = dict.fromkeys(range(1, base.n + 1))
             self._live = self._recorded_live
 
     def level(self, i):
@@ -214,22 +240,28 @@ class _LayeredView:
         return death[x] > i
 
     def _fill(self):
-        """Record the deletions of the first stage not yet filled."""
+        """Record the deletions of the first stage not yet filled; with
+        nothing live below it, the stage deletes nothing unasked."""
         k = len(self._deleted) + 1
-        meter = self.meter
-        meter.alloc(self._frames[k])
-        try:
-            gone = self.stages[k - 1].deletions(self._levels[k - 1])
-        finally:
-            meter.release(self._frames[k])
-        death = self._death
-        for x in gone:
-            death[x] = k
+        alive = self._alive
+        gone = ()
+        if alive:
+            meter = self.meter
+            meter.alloc(self._frames[k])
+            try:
+                gone = self.stages[k - 1].deletions(self._levels[k - 1])
+            finally:
+                meter.release(self._frames[k])
+            death = self._death
+            for x in gone:
+                death[x] = k
+                del alive[x]
         self._deleted.append(gone)
 
     def stage_deletions(self, i):
-        """Fast mode: the container stage i's ``deletions`` returned,
-        filling the stages up to i that no query has reached yet."""
+        """Fast mode: the container stage i's ``deletions`` returned
+        (empty when nothing was live below it), filling the stages up
+        to i that no query has reached yet."""
         while len(self._deleted) < i:
             self._fill()
         return self._deleted[i - 1]
@@ -252,6 +284,7 @@ class LayeredGraphView(_LayeredView):
         if not isinstance(base, GraphInstance):
             raise DomainError("LayeredGraphView needs a GraphInstance")
         super().__init__(base, stages, meter, memoized)
+        self._by_degree = None
 
     vertex_live = _LayeredView._checked_live
 
@@ -302,7 +335,8 @@ def enumerate_stage(view, i, kind):
     Graph views: kind "S" (stage-i deletions), "V" (vertices live at
     depth i), "E" (edges live at depth i).  Family views: kind "S"
     (stage-i deletions), "U" (elements live at depth i), "F" (indices of
-    sets live at depth i).
+    sets live at depth i).  A fast-mode "S" stream fills the stages up
+    to i and sorts stage i's recorded deletions.
     """
     if not isinstance(view, _LayeredView):
         raise DomainError(f"not a layered view: {type(view).__name__}")
@@ -311,6 +345,8 @@ def enumerate_stage(view, i, kind):
     if kind == "S":
         if not 1 <= i <= view.depth:
             raise DomainError(f"stage {i} outside 1..{view.depth}")
+        if view.memoized:
+            return iter(sorted(view.stage_deletions(i)))
         return (x for x in ids if view.stage_deleted(i, x))
     name, items, derived = view._kinds
     if kind not in (items, derived):

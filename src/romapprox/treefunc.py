@@ -368,17 +368,16 @@ def _members_from_kids(kids, roots, banned=None):
     return member
 
 
-def fast_cover_members(view, ids):
-    """Membership dict for every id at once; free use of working memory."""
-    ids = list(ids)
-    out = {v: view.out(v) for v in ids}
-    kids = {v: [] for v in ids}
-    for v in ids:
-        w = out[v]
+def fast_cover_members(out):
+    """Membership dict for every id of the successor map ``out`` (id ->
+    out-neighbor or None, every out-neighbor itself an id) at once; free
+    use of working memory."""
+    kids = {v: [] for v in out}
+    for v, w in out.items():
         if w is not None:
             kids[w].append(v)
     member = {}
-    for v in ids:
+    for v in out:
         if v in member:
             continue
         u = _component_rep(out.__getitem__, v)[0]
@@ -512,7 +511,7 @@ def _functional_stream(digraph, meter, metered, want):
         finally:
             meter.release(COMPONENT_WORDS)
     else:
-        member = fast_cover_members(view, range(1, digraph.n + 1))
+        member = fast_cover_members({v: view.out(v) for v in range(1, digraph.n + 1)})
         for v in range(1, digraph.n + 1):
             if member[v] == want:
                 yield v

@@ -22,7 +22,8 @@ FUNC = "q 6 5\na 1 2\na 2 3\na 3 1\na 4 1\na 5 4\n"
 TOUR = "q 4 6\na 1 2\na 2 3\na 3 1\na 1 4\na 2 4\na 4 3\n"
 
 REPORT_KEYS = {
-    "algorithm", "params", "solution", "size", "valid", "meter", "runtime_ms",
+    "algorithm", "params", "audited", "solution", "size", "valid", "meter",
+    "runtime_ms",
 }
 METER_KEYS = {
     "charged_peak_words", "primitive_words", "input_accesses", "pass_estimate",
@@ -75,7 +76,7 @@ def test_solve_no_verdict(tmp_path, capsys):
     )
     assert code == 2
     report = json.loads(out)
-    assert set(report) == {"algorithm", "params", "verdict"}
+    assert set(report) == {"algorithm", "params", "audited", "verdict"}
     assert report["verdict"] == "NO"
 
 
@@ -368,6 +369,43 @@ def test_solve_every_pair_compare_exact(tmp_path, capsys, pair):
     assert (report["valid"], report["size"], report["opt"], report["ratio"]) == (
         True, size, opt, ratio,
     )
+
+
+# Algorithms whose --space-audit selects an audited mode: the layered
+# and staggered routes and the metered tree and functional walks.
+AUDITED_ALGORITHMS = {
+    "tree", "functional", "bounded-degree", "maximal", "multiplicity", "staggered",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PER_SOLVER), ids="/".join)
+def test_solve_reports_whether_it_ran_audited(tmp_path, capsys, pair):
+    text, flags = PER_SOLVER[pair][:2]
+    base = (
+        "solve", "--problem", pair[0], "--algorithm", pair[1],
+        "--input", write(tmp_path, "in.txt", text), *flags,
+    )
+    _, plain = run(capsys, *base)
+    _, audit = run(capsys, *base, "--space-audit")
+    plain, audit = json.loads(plain), json.loads(audit)
+    assert plain["audited"] is False
+    assert audit["audited"] is (pair[1] in AUDITED_ALGORITHMS)
+    assert audit["solution"] == plain["solution"]
+
+
+def test_bench_reports_whether_it_ran_audited(capsys):
+    for algorithm, flags, audited in (
+        ("bounded-degree", (), False),
+        ("bounded-degree", ("--space-audit",), True),
+        ("degenerate", ("--space-audit",), False),
+    ):
+        problem = "ds" if algorithm == "degenerate" else "vc"
+        code, out = run(
+            capsys, "bench", "--problem", problem, "--algorithm", algorithm,
+            "--kind", "regular", "--n", "8", "--d", "3", "--runs", "1", *flags,
+        )
+        assert code == 0
+        assert json.loads(out)["audited"] is audited
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,20 @@ from romapprox.layered import (
     bounded_mult_hs,
     hs_view,
 )
-from romapprox.layers import WORDS_PER_LEVEL, enumerate_stage
+from romapprox.layers import (
+    WORDS_PER_LEVEL,
+    LayeredFamilyView,
+    LayeredGraphView,
+    enumerate_stage,
+)
 from romapprox.meter import WorkspaceMeter, with_meter
+from sample_stages import (
+    delete_element_min_live_id,
+    delete_high_degree,
+    delete_isolated,
+    delete_min_live_id,
+    delete_uncovered_elements,
+)
 
 PATH4 = GraphInstance(4, [(1, 2), (2, 3), (3, 4)])
 STAR = GraphInstance(4, [(1, 2), (1, 3), (1, 4)])
@@ -370,3 +382,97 @@ def test_stage_intersection_graph_matches_all_pairs(monkeypatch):
         positions = list(range(1, f.m + 1))
         assert real(f, positions) == _all_pairs_edges(f, positions)
     assert calls and max(calls) > 0
+
+
+def _stage_stream_error(view, i):
+    with pytest.raises(DomainError) as err:
+        list(enumerate_stage(view, i, "S"))
+    return str(err.value)
+
+
+def _assert_fast_stage_streams_match_audited(make, rng):
+    """``make(memoized)`` builds a fresh view.  Every fast-mode stage
+    stream equals the audited one, whether the stages are streamed in
+    order, reversed or shuffled, and out-of-range stages raise the same
+    DomainError in both modes."""
+    audited = make(False)
+    depth = audited.depth
+    want = {i: list(enumerate_stage(audited, i, "S")) for i in range(1, depth + 1)}
+    shuffled = list(range(1, depth + 1))
+    rng.shuffle(shuffled)
+    for order in (range(1, depth + 1), range(depth, 0, -1), shuffled):
+        fast = make(True)
+        assert {i: list(enumerate_stage(fast, i, "S")) for i in order} == want
+    for i in (-1, 0, depth + 1):
+        assert _stage_stream_error(make(True), i) == _stage_stream_error(audited, i)
+
+
+def test_fast_stage_streams_match_audited():
+    rng = oracles.make_rng(110)
+    graph_pool = [delete_min_live_id, delete_isolated, lambda: delete_high_degree(2)]
+    family_pool = [delete_element_min_live_id, delete_uncovered_elements]
+    for _ in range(20):
+        n = rng.randint(0, 7)
+        g = GraphInstance(n, oracles.random_graph_max_degree(rng, n, 0.4, 3))
+        for build in (bd_vc_view, bd_is_view):
+            _assert_fast_stage_streams_match_audited(
+                lambda memoized: build(g, memoized=memoized), rng
+            )
+        assert list(bd_maximal_is(g)) == list(bd_maximal_is(g, space_audit=True))
+        makers = [rng.choice(graph_pool) for _ in range(rng.randint(1, 4))]
+        _assert_fast_stage_streams_match_audited(
+            lambda memoized: LayeredGraphView(
+                g, [mk() for mk in makers], memoized=memoized
+            ),
+            rng,
+        )
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        sets = [
+            tuple(rng.sample(range(1, n + 1), rng.randint(1, min(2, n))))
+            for _ in range(rng.randint(0, 4))
+        ]
+        f = SetFamilyInstance(n, 2, sets)
+        _assert_fast_stage_streams_match_audited(
+            lambda memoized: hs_view(f, memoized=memoized), rng
+        )
+        makers = [rng.choice(family_pool) for _ in range(rng.randint(1, 4))]
+        _assert_fast_stage_streams_match_audited(
+            lambda memoized: LayeredFamilyView(
+                f, [mk() for mk in makers], memoized=memoized
+            ),
+            rng,
+        )
+
+
+def test_fast_star_solves_grow_linearly(monkeypatch):
+    # On the star K_{1,n-1} stage 1 takes the hub (or keeps every leaf)
+    # and leaves only vertices of degree below every later rank, so a
+    # fast solve's input accesses, the ids its stages hand the cover
+    # machine and the view's liveness calls all grow linearly in n, not
+    # once per vertex per stage.
+    counts = {"ids": 0, "live": 0}
+    real_members = layered.fast_cover_members
+
+    def members(*args):
+        counts["ids"] += len(args[-1])
+        return real_members(*args)
+
+    monkeypatch.setattr(layered, "fast_cover_members", members)
+    for name in ("vertex_live", "stage_deleted", "_checked_live", "_live", "_recorded_live"):
+        real = getattr(LayeredGraphView, name)
+
+        def counted(self, *args, _real=real):
+            counts["live"] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(LayeredGraphView, name, counted)
+    for solve in (bd_vc_2approx, bd_maximal_is):
+        seen = {}
+        for n in (256, 1024):
+            star = GraphInstance(n, [(1, v) for v in range(2, n + 1)])
+            counts.update(ids=0, live=0)
+            _, snap = with_meter(lambda meter: list(solve(star, meter=meter)))
+            seen[n] = (snap.input_accesses, counts["ids"], counts["live"])
+        for small, large in zip(seen[256], seen[1024]):
+            assert large <= 5 * small, (solve.__name__, seen)

@@ -323,7 +323,7 @@ def test_off_cycle_queries_skip_the_banned_cover_sweeps(monkeypatch):
         n = rng.randint(1, 12)
         arcs = oracles.random_functional_arcs(rng, n)
         view = FunctionalView(DigraphInstance(n, arcs))
-        fast = fast_cover_members(view, range(1, n + 1))
+        fast = fast_cover_members({v: view.out(v) for v in range(1, n + 1)})
         for v in range(1, n + 1):
             swept.clear()
             assert component_cover_member(view, v) == fast[v]
