@@ -12,7 +12,11 @@ order everywhere downstream: adjacency lists hold neighbors in first
 appearance order, families keep sets and their elements as written, and
 every algorithm that streams output does so against these orders.
 
-Parse failures raise :class:`ParseError` naming the 1-based line number.
+The constructors are the only validators.  A loader checks the syntax,
+streams each parsed line into a constructor and turns its DomainError
+into a :class:`ParseError` whose ``line`` is the 1-based number of the
+line being read; as a constructor raises at the first bad item, of two
+faults in a text the one met first in reading order is reported.
 """
 
 from .errors import DomainError, ParseError
@@ -22,22 +26,29 @@ def _tokenize(text):
     """Yield (line_number, tokens) for content lines, skipping comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        yield lineno, tokens
+        if tokens and tokens[0] != "c":
+            yield lineno, tokens
 
 
-def _int_field(lineno, token, what):
+def _fields(lineno, tokens, tag, count, what):
+    """The integers after ``tag`` on a content line: ``count`` of them,
+    or any number if ``count`` is None."""
+    if tokens[0] != tag:
+        raise ParseError(
+            lineno, f"expected {what} starting with {tag!r}, got {tokens[0]!r}"
+        )
+    if count is not None and len(tokens) != 1 + count:
+        raise ParseError(lineno, f"{what} needs {count} fields, got {len(tokens) - 1}")
     try:
-        return int(token)
+        return tuple(map(int, tokens[1:]))
     except ValueError:
-        raise ParseError(lineno, f"{what} is not an integer: {token!r}") from None
-
-
-def _check_id(lineno, value, n, what):
-    if not 1 <= value <= n:
-        raise ParseError(lineno, f"{what} {value} out of range 1..{n}")
-    return value
+        for token in tokens[1:]:
+            try:
+                int(token)
+            except ValueError:
+                raise ParseError(
+                    lineno, f"{what} field is not an integer: {token!r}"
+                ) from None
 
 
 class GraphInstance:
@@ -51,6 +62,7 @@ class GraphInstance:
         adj = [[] for _ in range(n + 1)]
         seen = set()
         pairs = []
+        # one pass in order, raising at the first bad item: a loader names its line
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"edge ({u}, {v}) out of range 1..{n}")
@@ -140,6 +152,7 @@ class DigraphInstance:
         into = [[] for _ in range(n + 1)]
         seen = set()
         pairs = []
+        # one pass in order, raising at the first bad item: a loader names its line
         for u, v in arcs:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"arc ({u}, {v}) out of range 1..{n}")
@@ -224,12 +237,13 @@ class SetFamilyInstance:
             raise DomainError(f"set-size bound must be positive, got {d}")
         containing = [[] for _ in range(n + 1)]
         stored = []
+        # one pass in order, raising at the first bad item: a loader names its line
         for idx, elements in enumerate(sets, start=1):
             elements = tuple(elements)
-            if not 1 <= len(elements) <= d:
-                raise DomainError(
-                    f"set {idx} has {len(elements)} elements, allowed 1..{d}"
-                )
+            if not elements:
+                raise DomainError(f"set {idx} is empty")
+            if len(elements) > d:
+                raise DomainError(f"set {idx} has {len(elements)} elements, bound is {d}")
             if len(set(elements)) != len(elements):
                 raise DomainError(f"set {idx} repeats an element")
             for e in elements:
@@ -286,113 +300,59 @@ class SetFamilyInstance:
         return f"SetFamilyInstance(n={self.n}, m={self.m}, d={self.d})"
 
 
-def _parse_header(lineno, tokens, tag, fields, kind):
-    if tokens[0] != tag:
-        raise ParseError(
-            lineno, f"expected {kind} header starting with {tag!r}, got {tokens[0]!r}"
-        )
-    if len(tokens) != 1 + fields:
-        raise ParseError(
-            lineno, f"{kind} header needs {fields} fields, got {len(tokens) - 1}"
-        )
-    values = [_int_field(lineno, t, f"{kind} header field") for t in tokens[1:]]
-    if values[0] < 0:
-        raise ParseError(lineno, f"negative size {values[0]} in {kind} header")
+def _header(stream, tag, fields, kind):
+    """The header's integers, after a one-item list holding its line
+    number: the cell :func:`_body` keeps at the line being read."""
+    try:
+        lineno, tokens = next(stream)
+    except StopIteration:
+        raise ParseError(1, f"empty input, expected {kind} header") from None
+    values = _fields(lineno, tokens, tag, fields, f"{kind} header")
+    # the line count is the one header field no constructor sees
     if values[1] < 0:
         raise ParseError(lineno, f"negative line count {values[1]} in {kind} header")
-    return values
+    return [lineno], values
 
 
-def _parse_pair_lines(stream, n, m, tag, what):
-    pairs = []
-    last_line = 0
+def _body(stream, where, m, tag, what, arity=None):
+    """Yield the integers of each of the ``m`` body lines, first storing
+    the line's number in ``where[0]``."""
+    lineno = count = 0
     for lineno, tokens in stream:
-        last_line = lineno
-        if len(pairs) == m:
+        where[0] = lineno
+        if count == m:
             raise ParseError(lineno, f"extra {what} line beyond declared {m}")
-        if tokens[0] != tag:
-            raise ParseError(lineno, f"expected {what} line starting with {tag!r}")
-        if len(tokens) != 3:
-            raise ParseError(lineno, f"{what} line needs 2 ids, got {len(tokens) - 1}")
-        u = _check_id(lineno, _int_field(lineno, tokens[1], what), n, what + " endpoint")
-        v = _check_id(lineno, _int_field(lineno, tokens[2], what), n, what + " endpoint")
-        if u == v:
-            raise ParseError(lineno, f"self-loop {tag} {u} {v}")
-        pairs.append((lineno, u, v))
-    if len(pairs) < m:
-        raise ParseError(last_line + 1, f"expected {m} {what} lines, found {len(pairs)}")
-    return pairs
+        count += 1
+        yield _fields(lineno, tokens, tag, arity, f"{what} line")
+    if count < m:
+        raise ParseError(lineno + 1, f"expected {m} {what} lines, found {count}")
 
 
 def load_graph(text):
     stream = _tokenize(text)
+    where, (n, m) = _header(stream, "p", 2, "graph")
     try:
-        lineno, tokens = next(stream)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected graph header") from None
-    n, m = _parse_header(lineno, tokens, "p", 2, "graph")
-    pairs = _parse_pair_lines(stream, n, m, "e", "edge")
-    seen = set()
-    edges = []
-    for lineno, u, v in pairs:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(lineno, f"duplicate edge e {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-    return GraphInstance(n, edges)
+        return GraphInstance(n, _body(stream, where, m, "e", "edge", 2))
+    except DomainError as exc:
+        raise ParseError(where[0], str(exc)) from None
 
 
 def load_digraph(text):
     stream = _tokenize(text)
+    where, (n, m) = _header(stream, "q", 2, "digraph")
     try:
-        lineno, tokens = next(stream)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected digraph header") from None
-    n, m = _parse_header(lineno, tokens, "q", 2, "digraph")
-    pairs = _parse_pair_lines(stream, n, m, "a", "arc")
-    seen = set()
-    arcs = []
-    for lineno, u, v in pairs:
-        if (u, v) in seen:
-            raise ParseError(lineno, f"duplicate arc a {u} {v}")
-        seen.add((u, v))
-        arcs.append((u, v))
-    return DigraphInstance(n, arcs)
+        return DigraphInstance(n, _body(stream, where, m, "a", "arc", 2))
+    except DomainError as exc:
+        raise ParseError(where[0], str(exc)) from None
 
 
 def load_family(text):
     stream = _tokenize(text)
+    where, (n, m, d) = _header(stream, "h", 3, "family")
     try:
-        lineno, tokens = next(stream)
-    except StopIteration:
-        raise ParseError(1, "empty input, expected family header") from None
-    n, m, d = _parse_header(lineno, tokens, "h", 3, "family")
-    if d < 1:
-        raise ParseError(lineno, f"set-size bound must be positive, got {d}")
-    sets = []
-    last_line = 0
-    for lineno, tokens in stream:
-        last_line = lineno
-        if len(sets) == m:
-            raise ParseError(lineno, f"extra set line beyond declared {m}")
-        if tokens[0] != "s":
-            raise ParseError(lineno, "expected set line starting with 's'")
-        elements = [_int_field(lineno, t, "element") for t in tokens[1:]]
-        if not elements:
-            raise ParseError(lineno, "empty set")
-        if len(elements) > d:
-            raise ParseError(
-                lineno, f"set has {len(elements)} elements, bound is {d}"
-            )
-        for e in elements:
-            _check_id(lineno, e, n, "element")
-        if len(set(elements)) != len(elements):
-            raise ParseError(lineno, "set repeats an element")
-        sets.append(tuple(elements))
-    if len(sets) < m:
-        raise ParseError(last_line + 1, f"expected {m} set lines, found {len(sets)}")
-    return SetFamilyInstance(n, d, sets)
+        return SetFamilyInstance(n, d, _body(stream, where, m, "s", "set"))
+    except DomainError as exc:
+        raise ParseError(where[0], str(exc)) from None
 
 
 def serialize_graph(g):

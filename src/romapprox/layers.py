@@ -340,21 +340,23 @@ def enumerate_stage(view, i, kind):
     """
     if not isinstance(view, _LayeredView):
         raise DomainError(f"not a layered view: {type(view).__name__}")
-    view.meter.tick_pass()
-    ids = range(1, view.base.n + 1)
+    name, items, derived = view._kinds
     if kind == "S":
         if not 1 <= i <= view.depth:
             raise DomainError(f"stage {i} outside 1..{view.depth}")
-        if view.memoized:
-            return iter(sorted(view.stage_deletions(i)))
-        return (x for x in ids if view.stage_deleted(i, x))
-    name, items, derived = view._kinds
-    if kind not in (items, derived):
+    elif kind not in (items, derived):
         raise DomainError(
             f"{name} views stream kinds S, {items}, {derived}, not {kind!r}"
         )
-    if not 0 <= i <= view.depth:
+    elif not 0 <= i <= view.depth:
         raise DomainError(f"level {i} outside 0..{view.depth}")
+    # a refused call reads nothing, so only an accepted one is a pass
+    view.meter.tick_pass()
+    ids = range(1, view.base.n + 1)
+    if kind == "S":
+        if view.memoized:
+            return iter(sorted(view.stage_deletions(i)))
+        return (x for x in ids if view.stage_deleted(i, x))
     if kind == items:
         return (x for x in ids if view._checked_live(i, x))
     return view._live_derived(i)

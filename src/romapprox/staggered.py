@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
+from .exact import StructureKind, validate
 from .instances import DigraphInstance, GraphInstance, SetFamilyInstance
 from .kernels import retention_scan
 from .layers import LayeredFamilyView, StagePredicate, enumerate_stage
@@ -254,15 +255,6 @@ FORBIDDEN_CATALOG = {
 }
 
 
-def _require_tournament(d):
-    for u in range(1, d.n + 1):
-        for v in range(u + 1, d.n + 1):
-            if d.has_arc(u, v) == d.has_arc(v, u):
-                raise DomainError(
-                    f"input is not a tournament: pair ({u}, {v})"
-                )
-
-
 def forbidden_family(instance, problem):
     """Family of all vertex subsets inducing a forbidden pattern.
 
@@ -281,7 +273,9 @@ def forbidden_family(instance, problem):
     if directed:
         if not isinstance(instance, DigraphInstance):
             raise DomainError(f"{problem} needs a DigraphInstance")
-        _require_tournament(instance)
+        ok, witness = validate(StructureKind.TOURNAMENT, instance)
+        if not ok:
+            raise DomainError(f"not a tournament: {witness}")
         source = instance
     else:
         if not isinstance(instance, GraphInstance):

@@ -36,6 +36,17 @@ def test_graph_comments_and_blank_lines():
     assert g.neighbors(1) == (2,)
 
 
+# Comment and blank lines ahead of a fault, so ``ParseError.line`` is
+# checked against the text's own numbering: the header sits on line 3.
+LEAD = "c instance\n\n"
+
+
+def assert_parse_error(load, text, line, words):
+    with pytest.raises(ParseError, match=words) as info:
+        load(text)
+    assert info.value.line == line
+
+
 def test_graph_parse_errors_name_lines():
     with pytest.raises(ParseError, match="line 1"):
         load_graph("x 3 1\ne 1 2\n")
@@ -53,6 +64,22 @@ def test_graph_parse_errors_name_lines():
         load_graph("p 3 x\n")
     with pytest.raises(ParseError, match="line 1.*empty"):
         load_graph("c only a comment\n")
+    graph = LEAD + "p 3 2\ne 1 2\nc next\n\n{}\n"
+    digraph = LEAD + "q 3 2\na 1 2\nc next\n\n{}\n"
+    for load, text, bad, words in (
+        (load_graph, graph, "e 2 2", "self-loop"),
+        (load_graph, graph, "e 1 4", "range"),
+        (load_graph, graph, "e 2 1", "duplicate"),
+        (load_digraph, digraph, "a 2 2", "self-loop"),
+        (load_digraph, digraph, "a 1 4", "range"),
+        (load_digraph, digraph, "a 1 2", "duplicate"),
+    ):
+        assert_parse_error(load, text.format(bad), 7, words)
+    assert_parse_error(load_graph, LEAD + "p -1 0\n", 3, "nonnegative")
+    assert_parse_error(load_digraph, LEAD + "q -1 0\n", 3, "nonnegative")
+    # of two faults the first in reading order is named: the duplicate on
+    # line 3 comes before the missing third edge line
+    assert_parse_error(load_graph, "p 3 3\ne 1 2\ne 2 1\n", 3, "duplicate")
 
 
 def test_digraph_allows_two_cycles_rejects_duplicates():
@@ -87,6 +114,16 @@ def test_family_parse_errors():
         load_family("h 4 1 2\ns\n")
     with pytest.raises(ParseError, match="header needs 3 fields"):
         load_family("h 4 1\ns 1\n")
+    family = LEAD + "h 4 2 2\ns 1 2\nc next\n\n{}\n"
+    for bad, words in (
+        ("s", "set 2 is empty"),
+        ("s 1 2 3", "bound is 2"),
+        ("s 1 5", "range"),
+        ("s 2 2", "repeats"),
+    ):
+        assert_parse_error(load_family, family.format(bad), 7, words)
+    assert_parse_error(load_family, LEAD + "h 4 1 0\ns 1\n", 3, "bound must be positive")
+    assert_parse_error(load_family, LEAD + "h -1 0 2\n", 3, "nonnegative")
 
 
 def test_constructor_validation():

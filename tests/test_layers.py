@@ -74,13 +74,15 @@ def test_set_dies_with_first_deleted_element():
 
 
 def test_level_bounds_checked():
-    view = LayeredGraphView(PATH4, [delete_min_live_id()])
+    meter = WorkspaceMeter()
+    view = LayeredGraphView(PATH4, [delete_min_live_id()], meter=meter)
     with pytest.raises(DomainError):
         view.vertex_live(2, 1)
-    with pytest.raises(DomainError):
-        list(enumerate_stage(view, 0, "S"))
-    with pytest.raises(DomainError):
-        list(enumerate_stage(view, 1, "F"))
+    for i, kind in ((0, "S"), (2, "S"), (1, "Q"), (2, "V"), (1, "F")):
+        with pytest.raises(DomainError):
+            list(enumerate_stage(view, i, kind))
+    # a refused call streams nothing, so it counts no pass
+    assert meter.pass_estimate == 0
 
 
 def test_predicate_budget_validated():

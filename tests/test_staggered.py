@@ -223,9 +223,13 @@ def test_forbidden_rejects():
         forbidden_family(TRIANGLE, "tournament-fvs")
     with pytest.raises(DomainError):
         forbidden_family(DigraphInstance(2, [(1, 2)]), "vc")
-    not_tournament = DigraphInstance(3, [(1, 2), (2, 1), (2, 3), (1, 3)])
-    with pytest.raises(DomainError):
-        forbidden_family(not_tournament, "tournament-fvs")
+    # a 2-cycle and a missing pair, each named by validate's witness
+    for arcs, witness in (
+        ([(1, 2), (2, 1), (2, 3), (1, 3)], r"\(1, 2, 2\)"),
+        ([(1, 2), (2, 3)], r"\(1, 3, 0\)"),
+    ):
+        with pytest.raises(DomainError, match=r"not a tournament: \('pair-arcs', " + witness):
+            forbidden_family(DigraphInstance(3, arcs), "tournament-fvs")
 
 
 def test_forbidden_equivalence():
