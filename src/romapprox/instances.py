@@ -317,7 +317,7 @@ def _header(stream, tag, fields, kind):
 def _body(stream, where, m, tag, what, arity=None):
     """Yield the integers of each of the ``m`` body lines, first storing
     the line's number in ``where[0]``."""
-    lineno = count = 0
+    lineno, count = where[0], 0
     for lineno, tokens in stream:
         where[0] = lineno
         if count == m:

@@ -76,6 +76,11 @@ def buss_vc_kernel(g, k):
     return KernelOutcome(KERNEL, tuple(sorted(keep)))
 
 
+def _require_family(f, who):
+    if not isinstance(f, SetFamilyInstance):
+        raise DomainError(f"{who} needs a SetFamilyInstance")
+
+
 def fk_hs_kernel(f, k):
     """Hitting-set kernel retaining at most (k+1)^d sets.
 
@@ -106,6 +111,7 @@ def fk_hs_kernel(f, k):
     signal fires only when genuinely distinct-enough sets exhaust the
     global (k+1)^d ceiling.
     """
+    _require_family(f, "fk_hs_kernel")
     retained, _, saturated_no = retention_scan(f, k)
     if saturated_no:
         return KernelOutcome(NO, ())
@@ -115,41 +121,38 @@ def fk_hs_kernel(f, k):
 def retention_scan(f, k):
     """One pass of the retention rule.
 
-    Returns (retained set indices, saturated discard witnesses in first
-    appearance order, whether some discard had only the empty witness).
+    Returns (retained set indices, saturated discard witnesses as
+    sorted tuples in first appearance order, whether some discard had
+    only the empty witness).
     The witness list backs the staggered scheme: every discarded set
     contains one of them.
     """
-    if not isinstance(f, SetFamilyInstance):
-        raise DomainError("fk_hs_kernel needs a SetFamilyInstance")
+    _require_family(f, "retention_scan")
     if k < 0:
         raise DomainError(f"budget must be nonnegative, got {k}")
-    counts = {frozenset(): 0}
+    ceiling = [(k + 1) ** (f.d - size) for size in range(f.d + 1)]
+    counts = {}
     retained = []
-    seen = set()
-    recorded = []
+    recorded = {}  # insertion-ordered, so first appearance order
     saturated_no = False
     for j in range(1, f.m + 1):
-        elements = f.set_elements(j)
-        witnesses = []
-        for size in range(len(elements) + 1):
-            for sub in combinations(sorted(elements), size):
-                b = frozenset(sub)
-                if counts.get(b, 0) >= (k + 1) ** (f.d - size):
-                    witnesses.append(b)
+        # combinations of a sorted tuple are sorted tuples, one key per subset
+        ordered = sorted(f.set_elements(j))
+        subsets = [
+            sub for size in range(len(ordered) + 1) for sub in combinations(ordered, size)
+        ]
+        witnesses = [b for b in subsets if counts.get(b, 0) >= ceiling[len(b)]]
         if not witnesses:
             retained.append(j)
-            for size in range(len(elements) + 1):
-                for sub in combinations(sorted(elements), size):
-                    b = frozenset(sub)
-                    counts[b] = counts.get(b, 0) + 1
+            for b in subsets:
+                counts[b] = counts.get(b, 0) + 1
             continue
-        if all(not w for w in witnesses):
+        # subsets ascend by size, so () is last only when it is alone
+        if not witnesses[-1]:
             saturated_no = True
         for b in witnesses:
-            if b and b not in seen:
-                seen.add(b)
-                recorded.append(tuple(sorted(b)))
+            if b and b not in recorded:
+                recorded[b] = None
     return tuple(retained), tuple(recorded), saturated_no
 
 

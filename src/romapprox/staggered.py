@@ -22,7 +22,7 @@ from itertools import combinations
 from .errors import DomainError
 from .exact import StructureKind, validate
 from .instances import DigraphInstance, GraphInstance, SetFamilyInstance
-from .kernels import retention_scan
+from .kernels import _require_family, retention_scan
 from .layers import LayeredFamilyView, StagePredicate, enumerate_stage
 from .meter import coerce_meter
 
@@ -104,6 +104,7 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
         the surviving sets, a hitting set for all of f of size at most
         (ceil((d-1)/eps) + d) * (k+1)^(1+eps).
     """
+    _require_family(f, "hs_bounded_k")
     _check_eps(eps)
     meter = coerce_meter(meter)
     kernel = _augmented_kernel(f, k)
@@ -140,6 +141,7 @@ def hs_eps_approx(f, eps, meter=None, space_audit=False):
     some set, which always hits and is within n^eps of any optimum that
     large.
     """
+    _require_family(f, "hs_eps_approx")
     _check_eps(eps)
     cap = math.ceil(f.n ** (1 - eps) - SLOP)
     for k in range(1, cap):
@@ -160,6 +162,7 @@ def hs_sqrt_approx(f, meter=None):
     family.  At budget ceil(n^(1/d)) returns the ground set.  ``meter``
     is accepted like every solver's, but nothing is charged to it.
     """
+    _require_family(f, "hs_sqrt_approx")
     cap = math.ceil(f.n ** (1 / f.d) - SLOP)
     for k in range(1, cap):
         retained, _, saturated_no = retention_scan(f, k)

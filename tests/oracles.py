@@ -133,6 +133,39 @@ def min_hitting_size(sets):
     return len(universe)
 
 
+def retention_rescan(sets, d, k):
+    """The hitting-set kernel's retention rule by direct recount.
+
+    Set A (input order) is kept iff every subset B of A, empty and A
+    included, lies in fewer than (k+1)^(d-|B|) earlier kept sets; each
+    B at or over its ceiling is a witness of A's discard.  Returns (kept
+    1-based indices, the nonempty witnesses as sorted tuples in first
+    appearance order, by size then lexicographically within a set,
+    whether some discard had the empty set as its only witness).
+    """
+    kept = []
+    kept_sets = []
+    recorded = []
+    only_empty = False
+    for idx, a in enumerate(sets, start=1):
+        a = frozenset(a)
+        saturated = [
+            b
+            for size in range(len(a) + 1)
+            for b in map(frozenset, itertools.combinations(a, size))
+            if sum(1 for t in kept_sets if b <= t) >= (k + 1) ** (d - size)
+        ]
+        if not saturated:
+            kept.append(idx)
+            kept_sets.append(a)
+            continue
+        only_empty = only_empty or saturated == [frozenset()]
+        for b in sorted(saturated, key=lambda b: (len(b), sorted(b))):
+            if b and tuple(sorted(b)) not in recorded:
+                recorded.append(tuple(sorted(b)))
+    return tuple(kept), tuple(recorded), only_empty
+
+
 def tree_tau_dp(n, edges, root=1):
     """Vertex cover size on a tree by two-state DP (independent of brute force)."""
     if n == 1:

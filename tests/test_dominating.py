@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -91,6 +92,46 @@ def test_c4free_approx_random():
         edges = random_c4free(rng, n)
         out = c4free_ds_approx(GraphInstance(n, edges))
         assert oracles.is_dominating(n, edges, set(out))
+
+
+def _budget_loop(g):
+    """c4free_ds_approx's rule, one c4free_ds_bounded_k call per budget."""
+    root = math.isqrt(g.n)
+    cap = root if root * root == g.n else root + 1
+    for k in range(1, cap):
+        got = c4free_ds_bounded_k(g, k)
+        if got is not None:
+            return got
+    return list(range(1, g.n + 1))
+
+
+def test_c4free_approx_matches_budget_loop():
+    rng = oracles.make_rng("c4free-approx-loop")
+    graphs = [GraphInstance(0, []), GraphInstance(1, []), GraphInstance(9, [(2, 5)])]
+    for n in (4, 9, 16):
+        graphs.append(GraphInstance(n, []))
+        graphs.append(GraphInstance(n, [(1, v) for v in range(2, n + 1)]))
+        graphs.append(GraphInstance(n, list(itertools.combinations(range(1, n + 1), 2))))
+    for _ in range(400):
+        n = rng.randint(0, 30)
+        graphs.append(GraphInstance(n, oracles.random_graph(rng, n, rng.uniform(0.0, 0.5))))
+    for _ in range(50):
+        n = rng.randint(1, 40)
+        graphs.append(GraphInstance(n, oracles.random_tree_edges(rng, n)))
+    fallbacks = 0
+    for g in graphs:
+        want = _budget_loop(g)
+        assert c4free_ds_approx(g) == want
+        fallbacks += want == list(range(1, g.n + 1))
+    assert fallbacks > 0
+
+
+def test_c4free_approx_reads_each_adjacency_once():
+    out, snap = with_meter(lambda m: c4free_ds_approx(PETERSEN, m))
+    assert out == list(range(1, 11))
+    assert snap.input_accesses == PETERSEN.n + 2 * PETERSEN.m
+    _, snap = with_meter(lambda m: c4free_ds_approx(GraphInstance(1, []), m))
+    assert snap.input_accesses == 0
 
 
 def test_dgn_frozen():

@@ -82,6 +82,15 @@ def test_graph_parse_errors_name_lines():
     assert_parse_error(load_graph, "p 3 3\ne 1 2\ne 2 1\n", 3, "duplicate")
 
 
+def test_missing_body_lines_are_named_after_the_header():
+    # with no body line at all, the first missing one follows the header
+    assert_parse_error(load_graph, "c a\nc b\np 3 2\n", 4, "expected 2 edge lines, found 0")
+    assert_parse_error(load_digraph, LEAD + "q 3 1\n", 4, "expected 1 arc lines, found 0")
+    assert_parse_error(load_family, LEAD + "h 3 2 2\n", 4, "expected 2 set lines, found 0")
+    assert_parse_error(load_digraph, "q 3 1\n", 2, "expected 1 arc lines, found 0")
+    assert_parse_error(load_family, "h 3 2 2\ns 1 2\n", 3, "expected 2 set lines, found 1")
+
+
 def test_digraph_allows_two_cycles_rejects_duplicates():
     g = load_digraph("q 3 3\na 1 2\na 2 1\na 2 3\n")
     assert g.out_neighbors(2) == (1, 3)

@@ -3,7 +3,8 @@ import pytest
 import oracles
 from romapprox.errors import DomainError
 from romapprox.instances import GraphInstance, SetFamilyInstance
-from romapprox.kernels import buss_vc_kernel, fk_hs_kernel, kernel_family
+from romapprox.kernels import buss_vc_kernel, fk_hs_kernel, kernel_family, retention_scan
+from romapprox.staggered import hs_bounded_k, hs_eps_approx, hs_sqrt_approx
 
 MATCHING8 = GraphInstance(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
 
@@ -95,6 +96,46 @@ def test_fk_random_families():
         for j in out.payload:
             union.update(f.set_elements(j))
         assert oracles.hits_all(sets, union)
+
+
+def test_retention_scan_matches_rescan():
+    rng = oracles.make_rng("retention-rescan")
+    # at k = 0 the second set meets the empty set's ceiling and nothing else
+    only_empty = SetFamilyInstance(2, 1, [(1,), (2,)])
+    assert retention_scan(only_empty, 0) == oracles.retention_rescan(only_empty.sets, 1, 0)
+    assert retention_scan(only_empty, 0)[2] is True
+    saw_no = saw_witness = 0
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 9)
+        sets = oracles.random_family(rng, n, rng.randint(1, 14), d)
+        sets += [rng.choice(sets)[::-1] for _ in range(rng.randint(1, 4))]
+        rng.shuffle(sets)
+        f = SetFamilyInstance(n, d, sets)
+        for k in range(4):
+            got = retention_scan(f, k)
+            assert got == oracles.retention_rescan(sets, d, k)
+            assert all(type(b) is tuple for b in got[1])
+            saw_no += got[2]
+            saw_witness += bool(got[1])
+    assert saw_no and saw_witness
+
+
+FAMILY_SOLVERS = [
+    (fk_hs_kernel, (1,)),
+    (retention_scan, (1,)),
+    (hs_bounded_k, (1, 0.5)),
+    (hs_eps_approx, (0.5,)),
+    (hs_sqrt_approx, ()),
+]
+
+
+@pytest.mark.parametrize(
+    "solver, args", FAMILY_SOLVERS, ids=[s.__name__ for s, _ in FAMILY_SOLVERS]
+)
+def test_family_solvers_name_themselves_on_a_graph(solver, args):
+    with pytest.raises(DomainError, match=f"^{solver.__name__} needs a SetFamilyInstance$"):
+        solver(GraphInstance(3, [(1, 2)]), *args)
 
 
 def test_kernel_family_rejects_no():
