@@ -183,18 +183,14 @@ SOLVERS = {
     ("vc", "bounded-degree"): _Solver(
         "bd_vc_2approx",
         "graph",
-        lambda g, a, m: bd_vc_2approx(
-            g, max_degree=a.d, meter=m, space_audit=a.space_audit
-        ),
+        lambda g, a, m: bd_vc_2approx(g, meter=m, space_audit=a.space_audit),
         ProblemKind.VC,
         audited=True,
     ),
     ("is", "maximal"): _Solver(
         "bd_maximal_is",
         "graph",
-        lambda g, a, m: bd_maximal_is(
-            g, max_degree=a.d, meter=m, space_audit=a.space_audit
-        ),
+        lambda g, a, m: bd_maximal_is(g, meter=m, space_audit=a.space_audit),
         ProblemKind.MAXIMAL_IS,
         audited=True,
     ),
@@ -207,9 +203,7 @@ SOLVERS = {
     ("hs", "multiplicity"): _Solver(
         "bounded_mult_hs",
         "family",
-        lambda f, a, m: bounded_mult_hs(
-            f, max_multiplicity=a.delta, meter=m, space_audit=a.space_audit
-        ),
+        lambda f, a, m: bounded_mult_hs(f, meter=m, space_audit=a.space_audit),
         ProblemKind.HS,
         audited=True,
     ),
@@ -263,7 +257,7 @@ SOLVERS = {
 _PROBLEMS = sorted({p for p, _ in SOLVERS})
 _ALGORITHMS = sorted({a for _, a in SOLVERS})
 
-_FLAG_NAMES = {"k": "--k", "epsilon": "--epsilon", "d": "--d", "delta": "--delta"}
+_FLAG_NAMES = {"k": "--k", "epsilon": "--epsilon", "d": "--d"}
 
 
 def _params(args):
@@ -654,7 +648,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--epsilon", type=float, default=None)
     sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--delta", type=int, default=None)
     sub.add_argument("--space-audit", action="store_true")
 
 
@@ -720,11 +713,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(str(exc))
-    except (_UsageError, DomainError, RefusalError, RoundLimitError, LedgerError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (
+        ParseError,
+        _UsageError,
+        DomainError,
+        RefusalError,
+        RoundLimitError,
+        LedgerError,
+        OSError,
+    ) as exc:
         return _fail(str(exc))
 
 

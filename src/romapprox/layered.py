@@ -17,11 +17,14 @@ survivors.  Every vertex is deleted exactly once, at that moment either
 kept or base-adjacent to a kept vertex, so the union of kept sets is an
 independent set no outside vertex can extend.
 
-Bounded-multiplicity hitting set does the same over a set family: stage
-i collects the live sets that are some live element's i-th set, takes a
-maximal independent set of their intersection graph, and deletes every
-element of the chosen sets.  Chosen sets are pairwise disjoint, so each
-costs at most its d elements against any optimum that must hit it.
+Bounded-multiplicity hitting set does the same over a set family, one
+stage per multiplicity rank 1..max multiplicity: stage i collects the
+live sets that are some live element's i-th set, takes a maximal
+independent set of their intersection graph, and deletes every element
+of the chosen sets.  That inner ``bd_maximal_is`` runs one stage per
+rank of the intersection graph's own max degree, which is at most
+d(δ-1), plus its sweep stage.  Chosen sets are pairwise disjoint, so
+each costs at most its d elements against any optimum that must hit it.
 """
 
 from .errors import DomainError
@@ -207,36 +210,27 @@ class _IndepStage(StagePredicate):
         return {v: v in kept for v in gone}
 
 
-def _resolve_bound(actual, declared, what):
-    if declared is None:
-        return actual
-    if declared < actual:
-        raise DomainError(f"declared {what} {declared} below actual {actual}")
-    return declared
-
-
-def bd_vc_view(g, max_degree=None, meter=None, memoized=True):
+def bd_vc_view(g, meter=None, memoized=True):
     """The layered view whose stage deletions form the 2-approximate cover."""
     if not isinstance(g, GraphInstance):
         raise DomainError("bd_vc_2approx needs a GraphInstance")
-    delta = _resolve_bound(g.max_degree(), max_degree, "max degree")
-    stages = [_CoverStage(i) for i in range(1, delta + 1)]
+    stages = [_CoverStage(i) for i in range(1, g.max_degree() + 1)]
     return LayeredGraphView(g, stages, meter=meter, memoized=memoized)
 
 
-def bd_vc_2approx(g, max_degree=None, meter=None, space_audit=False):
+def bd_vc_2approx(g, meter=None, space_audit=False):
     """Stream a vertex cover of at most twice the optimum size.
 
     Stage-major order, ascending ids within a stage.  ``space_audit``
     switches to the per-query recomputation the meter reports on.
     """
-    view = bd_vc_view(g, max_degree, meter=meter, memoized=not space_audit)
+    view = bd_vc_view(g, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
         for v in enumerate_stage(view, i, "S"):
             yield v
 
 
-def bd_is_view(g, max_degree=None, meter=None, memoized=True):
+def bd_is_view(g, meter=None, memoized=True):
     """The layered view whose stage keeps form the maximal independent set.
 
     One stage per adjacency rank plus a final sweep stage whose subgraph
@@ -246,12 +240,11 @@ def bd_is_view(g, max_degree=None, meter=None, memoized=True):
     """
     if not isinstance(g, GraphInstance):
         raise DomainError("bd_maximal_is needs a GraphInstance")
-    delta = _resolve_bound(g.max_degree(), max_degree, "max degree")
-    stages = [_IndepStage(i) for i in range(1, delta + 2)]
+    stages = [_IndepStage(i) for i in range(1, g.max_degree() + 2)]
     return LayeredGraphView(g, stages, meter=meter, memoized=memoized)
 
 
-def bd_maximal_is(g, max_degree=None, meter=None, space_audit=False):
+def bd_maximal_is(g, meter=None, space_audit=False):
     """Stream a maximal independent set, stage-major.
 
     Stage i deletes its kept set plus that set's live neighborhood;
@@ -259,7 +252,7 @@ def bd_maximal_is(g, max_degree=None, meter=None, space_audit=False):
     one stage, at that point either kept or base-adjacent to a kept
     vertex, so the union is independent and maximal in the input graph.
     """
-    view = bd_is_view(g, max_degree, meter=meter, memoized=not space_audit)
+    view = bd_is_view(g, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
         view.meter.tick_pass()
         if view.memoized:
@@ -295,13 +288,14 @@ class _HsStage(StagePredicate):
 
     The stage's candidate sets are the live sets that are some live
     element's i-th set; choices are a maximal independent set of their
-    intersection graph, so chosen sets never share elements.
+    intersection graph, so chosen sets never share elements.  The inner
+    ``bd_maximal_is`` reads the stage count off that graph: its own max
+    degree, at most d(δ-1), plus the sweep stage.
     """
 
-    def __init__(self, i, set_bound, mult_bound):
+    def __init__(self, i):
         super().__init__(f"hitting-stage-{i}", words_budget=28)
         self.i = i
-        self.inner_degree = max(0, set_bound * (mult_bound - 1))
 
     def _stage_sets(self, level):
         positions = []
@@ -321,10 +315,7 @@ class _HsStage(StagePredicate):
         return frozenset(
             positions[p - 1]
             for p in bd_maximal_is(
-                igraph,
-                max_degree=max(self.inner_degree, igraph.max_degree()),
-                meter=level.view.meter,
-                space_audit=not level.view.memoized,
+                igraph, meter=level.view.meter, space_audit=not level.view.memoized
             )
         )
 
@@ -342,17 +333,16 @@ class _HsStage(StagePredicate):
         return gone
 
 
-def hs_view(f, max_multiplicity=None, meter=None, memoized=True):
+def hs_view(f, meter=None, memoized=True):
     """The layered view whose stage deletions form the d-approximate
     hitting set, one stage per multiplicity rank."""
     if not isinstance(f, SetFamilyInstance):
         raise DomainError("bounded_mult_hs needs a SetFamilyInstance")
-    delta = _resolve_bound(f.max_multiplicity(), max_multiplicity, "multiplicity")
-    stages = [_HsStage(i, f.d, delta) for i in range(1, delta + 1)]
+    stages = [_HsStage(i) for i in range(1, f.max_multiplicity() + 1)]
     return LayeredFamilyView(f, stages, meter=meter, memoized=memoized)
 
 
-def bounded_mult_hs(f, max_multiplicity=None, meter=None, space_audit=False):
+def bounded_mult_hs(f, meter=None, space_audit=False):
     """Stream a hitting set at most ``d`` times the optimum, stage-major.
 
     One stage per multiplicity rank 1..max multiplicity; stage i's
@@ -360,7 +350,7 @@ def bounded_mult_hs(f, max_multiplicity=None, meter=None, space_audit=False):
     element, so charging its at most d elements to that optimum element
     gives the factor.
     """
-    view = hs_view(f, max_multiplicity, meter=meter, memoized=not space_audit)
+    view = hs_view(f, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
         for e in enumerate_stage(view, i, "S"):
             yield e

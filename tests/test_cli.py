@@ -110,6 +110,14 @@ def test_solve_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--problem", "nope", "--algorithm", "tree", "--input", path])
     assert info.value.code == 1
+    # an unrecognised argument exits 1 too, not the NO verdict's 2
+    with pytest.raises(SystemExit) as info:
+        main([
+            "solve", "--problem", "hs", "--algorithm", "multiplicity",
+            "--input", write(tmp_path, "fam.hg", FAM), "--delta", "1",
+        ])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --delta 1" in capsys.readouterr().err
 
 
 def test_solve_check_structure(tmp_path, capsys):
@@ -277,6 +285,23 @@ def test_bench_rejects_runs_below_one(capsys):
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: --runs must be at least 1, got {runs}\n"
+
+
+def test_bench_generator_d_is_not_a_degree_bound(capsys):
+    # --d shapes the generated graph; the layered solvers read the max
+    # degree off each generated instance.
+    for problem, algorithm, kind, n, d, runs in (
+        ("vc", "bounded-degree", "degenerate", "64", "2", 2),
+        ("is", "maximal", "c4free", "20", "3", 1),
+    ):
+        code, out = run(
+            capsys, "bench", "--problem", problem, "--algorithm", algorithm,
+            "--kind", kind, "--n", n, "--d", d, "--runs", str(runs),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["runs"]) == runs
+        assert all(row["valid"] for row in report["runs"])
 
 
 def test_bench_usage_error_order(capsys):

@@ -110,12 +110,6 @@ def test_stage_subgraph_matches_brute_force():
                             ]
 
 
-def test_declared_degree_validated():
-    with pytest.raises(DomainError):
-        list(bd_vc_2approx(STAR, max_degree=2))
-    assert list(bd_vc_2approx(PATH4, max_degree=5)) == [1, 3]
-
-
 def test_stage_layers_are_disjoint():
     g = GraphInstance(
         8,
@@ -298,13 +292,14 @@ def test_modes_agree_on_a_hub_star_and_a_sunflower():
     f = SetFamilyInstance(5, 2, petals)
     delta = hs_view(f).depth
     # A hitting stage's check runs an audited bd_maximal_is on the
-    # stage's intersection graph, of max degree at most d(delta - 1),
-    # whose own view holds up to d(delta - 1) + 2 more frames.
+    # stage's intersection graph.  All delta petals share element 1, so
+    # that graph is K_delta, of max degree delta - 1, and the inner view
+    # holds up to (delta - 1) + 2 more frames.
     got = {}
     for solve, base, levels in (
         (bd_vc_2approx, g, bd_vc_view(g).depth + 1),
         (bd_maximal_is, g, bd_is_view(g).depth + 1),
-        (bounded_mult_hs, f, delta + 1 + f.d * (delta - 1) + 2),
+        (bounded_mult_hs, f, delta + 1 + (delta - 1) + 2),
     ):
         audited, snap = with_meter(
             lambda meter: list(solve(base, meter=meter, space_audit=True))
@@ -321,25 +316,36 @@ def test_modes_agree_on_a_hub_star_and_a_sunflower():
     assert len(hitting) <= f.d * oracles.min_hitting_size(petals)
 
 
-def test_bounded_mult_hs_declared_multiplicity():
-    f = SetFamilyInstance(3, 2, [(1, 2), (2, 3)])
-    with pytest.raises(DomainError):
-        list(bounded_mult_hs(f, max_multiplicity=1))
-    assert list(bounded_mult_hs(f, max_multiplicity=4)) == list(bounded_mult_hs(f))
-
-
 def test_hs_view_checks():
     f = SetFamilyInstance(3, 2, [(1, 2), (1, 3), (1,)])
-    with pytest.raises(DomainError):
-        hs_view(f, max_multiplicity=1)
     with pytest.raises(DomainError):
         hs_view(object())
     with pytest.raises(DomainError):
         list(bounded_mult_hs(object()))
-    assert hs_view(f).depth == hs_view(f, max_multiplicity=3).depth == 3
-    view = hs_view(f, max_multiplicity=4)
+    view = hs_view(f)
+    assert view.depth == 3
     staged = [e for i in range(1, view.depth + 1) for e in enumerate_stage(view, i, "S")]
-    assert staged == list(bounded_mult_hs(f, max_multiplicity=4))
+    assert staged == list(bounded_mult_hs(f))
+
+
+@pytest.mark.parametrize(
+    "k, peak, accesses, passes",
+    [(2, 88, 1_489, 21), (3, 148, 65_168, 131), (4, 204, 900_443, 579)],
+)
+def test_audited_hs_meter_on_a_sunflower(k, peak, accesses, passes):
+    # k sets (1, v) sharing the core element 1: d = 2, delta = k.  Only
+    # stage 1 has candidates, and their intersection graph is K_k, so
+    # its inner maximal independent set runs k stages.
+    f = SetFamilyInstance(k + 1, 2, [(1, v) for v in range(2, k + 2)])
+    got, snap = with_meter(
+        lambda meter: list(bounded_mult_hs(f, meter=meter, space_audit=True))
+    )
+    assert got == [1, 3]
+    assert (snap.charged_peak, snap.input_accesses, snap.pass_estimate) == (
+        peak,
+        accesses,
+        passes,
+    )
 
 
 def _all_pairs_edges(f, positions):
