@@ -233,11 +233,12 @@ def regular_ds_derand(g, d, meter=None):
     S_f = {v : f(v) <= ceil(ln(d+1))}; the family average of |W_f| meets
     the n*(ln(d+1)+1)/(d+1) sampling bound, so the sweep's minimum does
     too.  Ties break toward the lexicographically smallest (a, b).  A
-    member is scored by |S_f| + n - |N[S_f]|, with N[S_f] built from
-    the adjacency of S_f read in one ``neighborhoods`` call, d*|S_f|
-    input accesses since g is d-regular.  The current and the best
-    member's S_f and N[S_f] are charged to the meter, and W_f is built
-    for the winner only.
+    member is scored by |S_f| + n - |N[S_f]|, with N[S_f] the bitmask
+    of S_f OR-ed with the neighbour rows of S_f, read in one
+    ``neighbor_masks`` call, d*|S_f| input accesses since g is
+    d-regular.  The current and the best member's S_f and N[S_f] are
+    charged to the meter as |S_f| + |N[S_f]| words, and W_f is built for
+    the winner only.
 
     Parameters
     ----------
@@ -262,13 +263,15 @@ def regular_ds_derand(g, d, meter=None):
         return []
     t = max(1, math.ceil(math.log(d + 1)))
     best = None
-    for sampled in cw_family(g.n, d + 1, meter).preimages(t):
+    for sampled, member in cw_family(g.n, d + 1, meter).preimages(t):
         meter.tick_pass()
-        covered = set(sampled)
-        covered.update(*g.neighborhoods(sampled, meter))
-        words = len(sampled) + len(covered)
+        covered = member
+        for row in g.neighbor_masks(sampled, meter):
+            covered |= row
+        reached = covered.bit_count()
+        words = len(sampled) + reached
         meter.alloc(words)
-        size = len(sampled) + g.n - len(covered)
+        size = len(sampled) + g.n - reached
         if best is None or size < best[0]:
             if best is not None:
                 meter.release(best[3])
@@ -276,6 +279,6 @@ def regular_ds_derand(g, d, meter=None):
         else:
             meter.release(words)
     _, sampled, covered, words = best
-    w_f = sampled + [v for v in range(1, g.n + 1) if v not in covered]
+    w_f = sampled + [v for v in range(1, g.n + 1) if not covered >> v & 1]
     meter.release(words)
     return sorted(w_f)

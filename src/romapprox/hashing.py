@@ -11,15 +11,16 @@ independent set of that size.
 
 Both sweeps only need each member's preimage of a short prefix {1..t} of
 the range, so ``HashFamily.preimages`` inverts the member on the few
-residues that land there instead of hashing every domain point.  Each
-member is then scored from the adjacency of its own preimage alone,
-fetched with one ``GraphInstance.neighborhoods`` call and charged word
-for word, instead of from a scan of the whole edge list.
+residues that land there instead of hashing every domain point, and
+hands it over both as a sorted id list and as a bitmask, one shift of a
+mask built once per multiplier.  Each member is then scored from the
+adjacency rows of its own preimage alone, fetched as bitmasks with one
+``GraphInstance.neighbor_masks`` call and charged word for word: one AND
+and popcount, or one OR, per row instead of a set probe per neighbour.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import DomainError
 from .instances import GraphInstance
@@ -80,27 +81,32 @@ class HashFamily:
                 yield HashFn(a, b, self.p, self.k)
 
     def preimages(self, t):
-        """Yield, per member in ``__iter__`` order, the ascending list of
-        x in [1, n] with f_{a,b}(x) <= t.
+        """Yield, per member in ``__iter__`` order, the pair (xs, mask):
+        xs the ascending list of x in [1, n] with f_{a,b}(x) <= t, and
+        mask the int whose bit x is set exactly when x is in xs.
 
         f(x) <= t exactly when (a*x + b) mod p is one of the residues r
         with r mod k < t, i.e. when x = (r - b) * a^-1 (mod p).  With
         y = r * a^-1 mod p and s = b * a^-1 mod p that is x = y - s
         (mod p), so over the sorted y's and their copies y + p the
         members are the values in (s, s + n], shifted down by s.  Each
-        member costs O(p*t/k), not n evaluations; when n = p the residue
-        y = s lands on s + p, i.e. on vertex p = n, as it must.
+        member costs O(p*t/k), not n evaluations, and its mask is the
+        multiplier's mask of those y's shifted down by s and cut to bits
+        1..n; when n = p the residue y = s lands on s + p, i.e. on
+        vertex p = n, as it must.
         """
         p, n = self.p, self.n
+        full = (1 << n + 1) - 2
         residues = [r for r in range(p) if r % self.k < t]
         for a in range(1, p):
             inv = pow(a, -1, p)
             base = sorted(r * inv % p for r in residues)
             ys = base + [y + p for y in base]
+            ymask = sum(1 << y for y in ys)
             for b in range(p):
                 s = b * inv % p
                 lo, hi = bisect_right(ys, s), bisect_right(ys, s + n)
-                yield [y - s for y in ys[lo:hi]]
+                yield [y - s for y in ys[lo:hi]], ymask >> s & full
 
     def __repr__(self):
         return f"HashFamily(n={self.n}, k={self.k}, p={self.p})"
@@ -134,12 +140,13 @@ def avg_degree_is(g, meter=None):
     takes S_f = preimage of 1 under the best-scoring member (score
     |S_f| - edges(S_f), ties to the smallest (a, b)), and keeps every
     vertex of S_f that is minimum in its closed neighborhood within
-    G[S_f].  The current and the best member's S_f, held as a list and
-    a set, are charged to the meter.
+    G[S_f].  The current and the best member's S_f, charged as a list
+    and a set (2*|S_f| words), are held as a list and a bitmask.
 
-    A member's edges inside S_f are counted from the adjacency of S_f
-    alone, read in one ``neighborhoods`` call: it is charged
-    sum(deg(v) for v in S_f) input accesses, about 2m/k, and the
+    A member's edges inside S_f are counted from the neighbour rows of
+    S_f alone, read in one ``neighbor_masks`` call: each edge inside is
+    a bit of a row AND the member mask, once from each end.  The call is
+    charged sum(deg(v) for v in S_f) input accesses, about 2m/k, and the
     winner's final scan charges that sum once more.  That is below m
     for k >= 3; at k = 2 it is about m and can exceed it, and at k = 1,
     where S_f = V, it is 2m per member.
@@ -157,14 +164,13 @@ def avg_degree_is(g, meter=None):
         return list(range(1, g.n + 1))
     k = -(-2 * g.m // g.n)
     best = None
-    for inside in cw_family(g.n, k, meter).preimages(1):
+    for inside, member in cw_family(g.n, k, meter).preimages(1):
         meter.tick_pass()
         words = 2 * len(inside)
         meter.alloc(words)
-        member = set(inside)
         # an edge inside S_f is seen from both of its ends
-        ends = chain.from_iterable(g.neighborhoods(inside, meter))
-        score = len(inside) - sum(map(member.__contains__, ends)) // 2
+        rows = g.neighbor_masks(inside, meter)
+        score = len(inside) - sum([(row & member).bit_count() for row in rows]) // 2
         if best is None or score > best[0]:
             if best is not None:
                 meter.release(best[3])
@@ -172,9 +178,8 @@ def avg_degree_is(g, meter=None):
         else:
             meter.release(words)
     _, inside, member, words = best
-    out = []
-    for v, nbrs in zip(inside, g.neighborhoods(inside, meter)):
-        if all(w > v for w in nbrs if w in member):
-            out.append(v)
+    rows = g.neighbor_masks(inside, meter)
+    # v stays when no neighbour inside S_f has a smaller id
+    out = [v for v, row in zip(inside, rows) if not row & member & (1 << v) - 1]
     meter.release(words)
     return out

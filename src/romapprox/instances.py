@@ -54,7 +54,7 @@ def _fields(lineno, tokens, tag, count, what):
 class GraphInstance:
     """Undirected simple graph with input-ordered adjacency."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_adj_by_id")
+    __slots__ = ("n", "m", "edges", "_adj", "_rows")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -79,7 +79,7 @@ class GraphInstance:
         self.edges = tuple(pairs)
         self.m = len(pairs)
         self._adj = [tuple(a) for a in adj]
-        self._adj_by_id = None
+        self._rows = None
 
     def degree(self, v, meter=None):
         if not 1 <= v <= self.n:
@@ -95,25 +95,31 @@ class GraphInstance:
             meter.access(len(self._adj[v]))
         return self._adj[v]
 
-    def neighborhoods(self, vs, meter=None):
-        """The tuples ``neighbors`` returns for each vertex of ``vs``, in
-        its order, read in one call.
+    def neighbor_masks(self, vs, meter=None):
+        """The open neighbourhood of each vertex of ``vs``, in its order,
+        as an int with bit w set for each neighbour w, read in one call.
 
         The first id of ``vs`` outside 1..n raises the DomainError
         ``neighbors`` raises, before anything is charged.  The meter is
-        charged one access per word read, the summed degree of ``vs``, in
-        a single ``access`` call; an empty ``vs`` charges 0.
+        charged one access per neighbour read, the summed degree of
+        ``vs``, in a single ``access`` call; an empty ``vs`` charges 0.
+        The rows are built on the first call, so an instance that never
+        asks for them never pays for them.
         """
-        by_id = self._adj_by_id
-        if by_id is None:
+        rows = self._rows
+        if rows is None:
             # keyed 1..n, so one lookup both validates an id and reads it
-            by_id = self._adj_by_id = dict(enumerate(self._adj[1:], start=1))
+            rows = self._rows = {
+                v: sum(1 << w for w in adj)
+                for v, adj in enumerate(self._adj[1:], start=1)
+            }
         try:
-            out = [by_id[v] for v in vs]
+            out = list(map(rows.__getitem__, vs))
         except KeyError as exc:
             raise DomainError(f"vertex {exc.args[0]} out of range 1..{self.n}") from None
         if meter is not None:
-            meter.access(sum(map(len, out)))
+            # a row's popcount is its vertex's degree
+            meter.access(sum(map(int.bit_count, out)))
         return out
 
     def has_edge(self, u, v):

@@ -495,22 +495,37 @@ def avg_degree_is_accesses(n, edges):
     return swept + sum(len(nbr[v]) for v in _avg_is_winner(n, edges))
 
 
+def _regular_ds_preimages(n, d):
+    """S = {x : f(x) <= max(1, ceil(ln(d+1)))} of every member, range
+    size d + 1."""
+    t = max(1, math.ceil(math.log(d + 1)))
+    for row in _cw_value_rows(n, d + 1):
+        yield {x for x in range(1, n + 1) if row[x - 1] <= t}
+
+
 def regular_ds_sweep(n, edges, d):
     """Brute-force regular_ds_derand: the first member minimizing
     |S + (V - N[S])| over S = {x : f(x) <= max(1, ceil(ln(d+1)))},
     range size d + 1."""
     if n == 0:
         return []
-    t = max(1, math.ceil(math.log(d + 1)))
     nbr = _nbr_sets(n, edges)
     best = None
-    for row in _cw_value_rows(n, d + 1):
-        s = {x for x in range(1, n + 1) if row[x - 1] <= t}
+    for s in _regular_ds_preimages(n, d):
         closed = s.union(*(nbr[v] for v in s))
         w = s | (set(range(1, n + 1)) - closed)
         if best is None or len(w) < len(best):
             best = w
     return sorted(best)
+
+
+def regular_ds_accesses(n, edges, d):
+    """Input accesses regular_ds_derand charges on a d-regular graph:
+    one degree probe per vertex, then d adjacency words per vertex of
+    every member's S; 0 when n = 0."""
+    if n == 0:
+        return 0
+    return n + d * sum(len(s) for s in _regular_ds_preimages(n, d))
 
 
 # ---------------------------------------------------------------- generators

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -265,7 +266,8 @@ def test_regular_random():
         assert len(out) <= n * (math.log(d + 1) + 1) / (d + 1) + 1
 
 
-def test_regular_matches_sweep_oracle():
+def regular_sweep_cases():
+    """Sixty seeded (n, edges, d) regular graphs, every other n prime."""
     rng = oracles.make_rng("regular-ds-sweep")
     done = 0
     while done < 60:
@@ -275,17 +277,29 @@ def test_regular_matches_sweep_oracle():
         if edges is None:
             continue
         done += 1
+        yield n, edges, d
+
+
+def test_regular_matches_sweep_oracle():
+    for n, edges, d in regular_sweep_cases():
         got = regular_ds_derand(GraphInstance(n, edges), d)
         assert got == oracles.regular_ds_sweep(n, edges, d)
 
 
+def test_regular_accesses_match_oracle():
+    for n, edges, d in regular_sweep_cases():
+        _, snap = with_meter(lambda m: regular_ds_derand(GraphInstance(n, edges), d, m))
+        assert snap.input_accesses == oracles.regular_ds_accesses(n, edges, d)
+    assert oracles.regular_ds_accesses(6, C6.edges, 2) == 366
+    assert oracles.regular_ds_accesses(10, PETERSEN.edges, 3) == 1810
+
+
 def test_regular_meter():
+    # (charged_peak, primitive_words, input_accesses, pass_estimate)
     out, snap = with_meter(lambda m: regular_ds_derand(C6, 2, m))
     assert out == [1, 3, 4, 6]
-    assert (snap.input_accesses, snap.pass_estimate) == (366, 42)
-    assert snap.charged_peak > 0
+    assert astuple(snap) == (21, 2, 366, 42)
     _, snap = with_meter(lambda m: regular_ds_derand(PETERSEN, 3, m))
-    assert (snap.input_accesses, snap.pass_estimate) == (1810, 110)
-    assert snap.charged_peak > 0
+    assert astuple(snap) == (31, 3, 1810, 110)
     _, snap = with_meter(lambda m: regular_ds_derand(GraphInstance(3, []), 0, m))
-    assert snap.charged_peak > 0
+    assert astuple(snap) == (12, 0, 3, 6)

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,15 @@ from romapprox.errors import DomainError
 from romapprox.hashing import HashFamily, avg_degree_is, cw_family, least_prime_at_least
 from romapprox.instances import GraphInstance
 from romapprox.meter import WorkspaceMeter, with_meter
+
+PETERSEN = GraphInstance(
+    10,
+    [
+        (1, 2), (2, 3), (3, 4), (4, 5), (1, 5),
+        (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
+        (6, 8), (8, 10), (7, 10), (7, 9), (6, 9),
+    ],
+)
 
 
 def test_prime_frozen():
@@ -65,8 +75,10 @@ def test_preimages_match_members():
             for t in range(1, k + 1):
                 pre = list(fam.preimages(t))
                 assert len(pre) == len(fam)
-                for f, got in zip(fam, pre):
+                for f, (got, mask) in zip(fam, pre):
                     assert got == [x for x in range(1, n + 1) if f(x) <= t]
+                    # bit x set iff x is listed, so bit 0 and bits above n clear
+                    assert mask == sum(1 << x for x in got)
 
 
 def test_family_member_lookup():
@@ -147,8 +159,11 @@ def test_avg_is_meter():
     # residues to 1: summed over members, |S_f| is n(p-1)c = 144, each
     # vertex of degree 2, so the sweep reads 2*144 = 288 adjacency words;
     # the winner's final scan over S* = {2, 4, 6} reads 2*3 = 6 more.
-    assert (snap.input_accesses, snap.pass_estimate) == (294, 42)
-    assert snap.charged_peak > 0
+    # (charged_peak, primitive_words, input_accesses, pass_estimate)
+    assert astuple(snap) == (14, 2, 294, 42)
+    out, snap = with_meter(lambda m: avg_degree_is(PETERSEN, m))
+    assert out == [2, 5, 8]
+    assert astuple(snap) == (14, 3, 1209, 110)
     rng = oracles.make_rng("avg-is-meter")
     for _ in range(40):
         n = rng.randint(1, 14)

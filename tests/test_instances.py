@@ -176,20 +176,20 @@ def test_metered_accessors_charge_input_accesses():
     assert m.charged_peak == 0
 
 
-def test_neighborhoods_empty_and_out_of_range():
+def test_neighbor_masks_empty_and_out_of_range():
     g = load_graph(PATH4)
     m = WorkspaceMeter()
-    assert g.neighborhoods([], meter=m) == []
+    assert g.neighbor_masks([], meter=m) == []
     assert m.input_accesses == 0
     for bad in (0, 5):
         with pytest.raises(DomainError) as single:
             g.neighbors(bad)
         for vs in ([bad], [bad, 1, 2], [1, bad, 3], [2, 3, bad]):
             fresh = load_graph(PATH4)
-            for graph in (fresh, g):  # id index not yet built, and built
+            for graph in (fresh, g):  # rows not yet built, and built
                 m = WorkspaceMeter()
                 with pytest.raises(DomainError) as bulk:
-                    graph.neighborhoods(vs, meter=m)
+                    graph.neighbor_masks(vs, meter=m)
                 assert str(bulk.value) == str(single.value)
                 assert m.input_accesses == 0
 
@@ -238,14 +238,14 @@ def test_digraph_round_trip(g):
 
 
 @given(st.data())
-def test_neighborhoods_match_neighbors(data):
+def test_neighbor_masks_match_neighbors(data):
     g = data.draw(graphs())
     vs = data.draw(st.lists(st.integers(min_value=1, max_value=g.n), max_size=12))
     m = WorkspaceMeter()
-    got = g.neighborhoods(vs, meter=m)
-    assert got == [g.neighbors(v) for v in vs]
+    got = g.neighbor_masks(vs, meter=m)
+    assert got == [sum(1 << w for w in g.neighbors(v)) for v in vs]
     assert m.input_accesses == sum(g.degree(v) for v in vs)
-    assert g.neighborhoods(vs) == got
+    assert g.neighbor_masks(vs) == got
     edges = {frozenset(e) for e in g.edges}
     ids = range(1, g.n + 1)
     assert all(g.has_edge(u, v) == (frozenset((u, v)) in edges) for u in ids for v in ids)
