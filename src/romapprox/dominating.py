@@ -143,12 +143,12 @@ def _partition(g, y, d, meter):
         closed.update(g.neighbors(u, meter))
     w = {v for v in range(1, g.n + 1) if v not in closed}
     b_h, b_l = [], []
-    for v in sorted(closed - set(y)):
+    for v in closed - set(y):
         inside = sum(1 for u in g.neighbors(v, meter) if u in w)
         (b_h if inside >= 2 * d + 1 else b_l).append(v)
     w_star = w | set(b_h)
     w_h, w_l = [], []
-    for v in sorted(w):
+    for v in w:
         live = any(u in w_star for u in g.neighbors(v, meter))
         (w_h if live else w_l).append(v)
     return DomPartition(y, b_h, b_l, w_h, w_l)
@@ -190,7 +190,7 @@ def dgn_rounds(g, d=None, meter=None, space_audit=False):
                 f"the input is denser than {d}-degenerate"
             )
         w_star = part.w_star
-        for v in sorted(part.w_h):
+        for v in part.w_h:
             inside = [u for u in g.neighbors(v, meter) if u in w_star]
             if len(inside) <= 2 * d:
                 y.update(inside)

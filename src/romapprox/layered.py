@@ -303,7 +303,7 @@ class _HsStage(StagePredicate):
             if not level.set_live(j):
                 continue
             for e in level.set_elements(j):
-                if level.element_live(e) and level.ith_set_of(e, self.i) == j:
+                if level.ith_set_of(e, self.i) == j:
                     positions.append(j)
                     break
         return positions

@@ -164,7 +164,9 @@ class _LayeredView:
     1..i at once and runs their predicates upward, releasing each frame
     as its predicate returns and stopping at the first deletion.  Every
     predicate call thus holds what a level-by-level recursion would: the
-    frames of its own level and of every level above it.
+    frames of its own level and of every level above it.  Liveness is
+    monotone in depth, so a caller that knows x is live at depth k asks
+    ``_live(i, x, k)``, which charges and runs levels k+1..i only.
 
     With ``memoized=True`` the view is the only cache.  ``_death[x]`` is
     the stage that deleted item x (``depth + 1`` while none has), so
@@ -209,14 +211,13 @@ class _LayeredView:
             raise DomainError(f"{self._item} {x} out of range 1..{self.base.n}")
         return self._live(i, x) if i else True
 
-    def _live(self, i, x):
-        """Liveness of a valid item id at a valid depth."""
+    def _live(self, i, x, k=0):
+        """Liveness of a valid item id at depth i, given it is live at depth k."""
         if not i:
             return True
         meter = self.meter
-        held = self._frames[i]
+        held = self._frames[i] - self._frames[k]
         meter.alloc(held)
-        k = 0
         live = True
         try:
             stages = self.stages
@@ -231,7 +232,7 @@ class _LayeredView:
             meter.release(held)
         return live
 
-    def _recorded_live(self, i, x):
+    def _recorded_live(self, i, x, k=0):
         """Fast-mode ``_live``: fills the stages x survived, up to i."""
         death = self._death
         deleted = self._deleted
@@ -270,7 +271,7 @@ class _LayeredView:
         """True when stage i is the one that deleted x."""
         if not 1 <= i <= self.depth:
             raise DomainError(f"stage {i} outside 1..{self.depth}")
-        return self._checked_live(i - 1, x) and not self._checked_live(i, x)
+        return self._checked_live(i - 1, x) and not self._live(i, x, i - 1)
 
 
 class LayeredGraphView(_LayeredView):

@@ -24,7 +24,6 @@ from .exact import StructureKind, validate
 from .instances import DigraphInstance, GraphInstance, SetFamilyInstance
 from .kernels import _require_family, retention_scan
 from .layers import LayeredFamilyView, StagePredicate, enumerate_stage
-from .meter import coerce_meter
 
 SLOP = 1e-9
 
@@ -106,7 +105,6 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
     """
     _require_family(f, "hs_bounded_k")
     _check_eps(eps)
-    meter = coerce_meter(meter)
     kernel = _augmented_kernel(f, k)
     if kernel is None:
         return None
@@ -115,21 +113,19 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
         _FreqStage(j, schedule.theta(k, j)) for j in range(1, schedule.rounds)
     ]
     view = LayeredFamilyView(kernel, stages, meter=meter, memoized=not space_audit)
+    survivors = range(1, kernel.m + 1)
     for j in range(1, schedule.rounds):
-        survivors = sum(
-            1 for t in range(1, kernel.m + 1) if view.set_live(j, t)
-        )
-        if survivors > schedule.kappa(k, j) + SLOP:
-            return None
+        cap = schedule.kappa(k, j) + SLOP
+        survivors = []
+        for t in range(1, kernel.m + 1):
+            if view.set_live(j, t):
+                survivors.append(t)
+                if len(survivors) > cap:
+                    return None
     out = []
     for j in range(1, schedule.rounds):
         out.extend(enumerate_stage(view, j, "S"))
-    last = schedule.rounds - 1
-    tail = set()
-    for t in range(1, kernel.m + 1):
-        if view.set_live(last, t):
-            tail.update(kernel.set_elements(t))
-    out.extend(sorted(tail))
+    out.extend(sorted({e for t in survivors for e in kernel.set_elements(t)}))
     return out
 
 
@@ -148,10 +144,7 @@ def hs_eps_approx(f, eps, meter=None, space_audit=False):
         got = hs_bounded_k(f, k, eps, meter=meter, space_audit=space_audit)
         if got is not None:
             return got
-    used = set()
-    for j in range(1, f.m + 1):
-        used.update(f.set_elements(j))
-    return sorted(used)
+    return [e for e in range(1, f.n + 1) if f.sets_containing(e)]
 
 
 def hs_sqrt_approx(f, meter=None):

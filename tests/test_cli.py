@@ -80,6 +80,23 @@ def test_solve_no_verdict(tmp_path, capsys):
     assert report["verdict"] == "NO"
 
 
+def test_solve_c4free_ds_with_budget(tmp_path, capsys):
+    star = write(tmp_path, "star.gr", "p 6 5\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 1 6\n")
+    code, out = run(
+        capsys, "solve", "--problem", "ds", "--algorithm", "c4free",
+        "--k", "1", "--input", star,
+    )
+    assert code == 0
+    assert json.loads(out)["solution"] == [1]
+    path3 = write(tmp_path, "path3.gr", "p 3 2\ne 1 2\ne 2 3\n")
+    code, out = run(
+        capsys, "solve", "--problem", "ds", "--algorithm", "c4free",
+        "--k", "0", "--input", path3,
+    )
+    assert code == 2
+    assert json.loads(out)["verdict"] == "NO"
+
+
 def test_solve_deterministic(tmp_path, capsys):
     path = write(tmp_path, "c6.gr", C6)
     argv = (

@@ -202,7 +202,7 @@ def test_audited_meter_counts_pinned():
         lambda meter: list(bd_vc_2approx(PETERSEN, meter=meter, space_audit=True))
     )
     assert got == [2, 4, 7, 8, 1, 6, 5]
-    assert astuple(snap) == (72, 0, 36487, 3)
+    assert astuple(snap) == (72, 0, 33176, 3)
     got, snap = with_meter(
         lambda meter: list(bd_maximal_is(PETERSEN, meter=meter, space_audit=True))
     )
@@ -330,7 +330,7 @@ def test_hs_view_checks():
 
 @pytest.mark.parametrize(
     "k, peak, accesses, passes",
-    [(2, 88, 1_489, 21), (3, 148, 65_168, 131), (4, 204, 900_443, 579)],
+    [(2, 88, 1_324, 19), (3, 148, 48_876, 99), (4, 204, 604_676, 390)],
 )
 def test_audited_hs_meter_on_a_sunflower(k, peak, accesses, passes):
     # k sets (1, v) sharing the core element 1: d = 2, delta = k.  Only

@@ -332,3 +332,24 @@ def test_fast_mode_leaves_stages_below_nothing_live_unasked():
     assert [list(enumerate_stage(view, i, "S")) for i in (1, 2, 3)] == [[], [1, 2], []]
     assert not view.vertex_live(3, 1)
     assert asked == [1, 1, 2, 2]
+
+
+def test_audited_stage_stream_walks_to_the_stage_below_once():
+    """An audited "S" query decides depth i-1 in one walk and then asks
+    stage i alone: stage k is asked about every item live below it,
+    once per stream item."""
+    asked = {1: 0, 2: 0, 3: 0}
+
+    def multiples_of(k, p):
+        def check(level, v):
+            asked[k] += 1
+            return v % p == 0
+
+        return StagePredicate(f"multiples-of-{p}", check, words_budget=4)
+
+    stages = [multiples_of(1, 2), multiples_of(2, 3), multiples_of(3, 5)]
+    g = GraphInstance(12, [])
+    assert list(enumerate_stage(LayeredGraphView(g, stages), 3, "S")) == [5]
+    assert asked == {1: 12, 2: 6, 3: 4}
+    fast = LayeredGraphView(g, stages, memoized=True)
+    assert list(enumerate_stage(fast, 3, "S")) == [5]

@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 
 import pytest
 
 import oracles
 from romapprox.errors import DomainError
 from romapprox.instances import DigraphInstance, GraphInstance, SetFamilyInstance
+from romapprox.meter import with_meter
 from romapprox.staggered import (
     FORBIDDEN_CATALOG,
     EpsSchedule,
@@ -83,6 +85,20 @@ def test_hs_bounded_frozen():
         hs_bounded_k(f, 2, 0)
     with pytest.raises(DomainError):
         hs_bounded_k(f, -1, 1)
+
+
+@pytest.mark.parametrize("space_audit, accesses", [(True, 8646), (False, 246)])
+def test_hs_bounded_meter_pinned(space_audit, accesses):
+    # Each round counts its live sets once, stopping past its cap, and
+    # the last round's survivors are the tail: no set is asked twice.
+    f = SetFamilyInstance(
+        8, 3, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1), (2, 4, 6), (1, 5, 8)]
+    )
+    got, snap = with_meter(
+        lambda meter: hs_bounded_k(f, 2, 0.5, meter=meter, space_audit=space_audit)
+    )
+    assert got == [1, 5, 2, 4, 6]
+    assert astuple(snap) == (48, 0, accesses, 3)
 
 
 def test_hs_bounded_random():

@@ -63,6 +63,12 @@ def test_tree_rejects_non_trees_and_bad_roots():
         list(tree_min_vc(GraphInstance(3, [(1, 2), (2, 3), (1, 3)])))
     with pytest.raises(DomainError):
         list(tree_min_vc(path(3), root=9))
+    # m = n - 1 passes the cheap check, but the search from the root
+    # never reaches vertex 4, so the full structure check names it.
+    g = GraphInstance(4, [(1, 2), (2, 3), (1, 3)])
+    for metered in (False, True):
+        with pytest.raises(DomainError, match=r"^not a tree: \('disconnected', 4\)$"):
+            list(tree_min_vc(g, metered=metered))
 
 
 def test_euler_tour_frozen_and_lengths():
