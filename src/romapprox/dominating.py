@@ -12,6 +12,7 @@ best sampled set together with whatever it fails to dominate.
 import math
 from collections import Counter
 from itertools import accumulate
+from operator import or_
 
 from .errors import DomainError, RoundLimitError
 from .exact import degeneracy
@@ -233,12 +234,16 @@ def regular_ds_derand(g, d, meter=None):
     S_f = {v : f(v) <= ceil(ln(d+1))}; the family average of |W_f| meets
     the n*(ln(d+1)+1)/(d+1) sampling bound, so the sweep's minimum does
     too.  Ties break toward the lexicographically smallest (a, b).  A
-    member is scored by |S_f| + n - |N[S_f]|, with N[S_f] the bitmask
-    of S_f OR-ed with the neighbour rows of S_f, read in one
-    ``neighbor_masks`` call, d*|S_f| input accesses since g is
-    d-regular.  The current and the best member's S_f and N[S_f] are
-    charged to the meter as |S_f| + |N[S_f]| words, and W_f is built for
-    the winner only.
+    member is scored by |S_f| + n - |N[S_f]|.
+
+    The sweep scores the p members of a multiplier together from
+    ``HashFamily.lanes``: |S_f| is the sum of the vertices' lane ints
+    and |N[S_f]| the sum, over v, of v's int OR-ed with its neighbours'.
+    The meter is charged per member as if it were scored from the
+    neighbour rows of S_f alone: d*|S_f| input accesses, since g is
+    d-regular, and the current and the best member's S_f and N[S_f] as
+    |S_f| + |N[S_f]| words.  The winner's S_f and N[S_f] are rebuilt
+    from its (a, b) uncharged, and W_f is built for the winner only.
 
     Parameters
     ----------
@@ -259,26 +264,36 @@ def regular_ds_derand(g, d, meter=None):
     for v in range(1, g.n + 1):
         if g.degree(v, meter) != d:
             raise DomainError(f"vertex {v} has degree {g.degree(v)}, not {d}")
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return []
     t = max(1, math.ceil(math.log(d + 1)))
+    fam = cw_family(n, d + 1, meter)
+    # column j holds the j-th neighbour of every vertex, as g is d-regular
+    columns = list(zip(*map(g.neighbors, range(1, n + 1))))
+    # a lane counts at most n vertices
+    rows, unpack = fam.lanes(t, n)
     best = None
-    for sampled, member in cw_family(g.n, d + 1, meter).preimages(t):
-        meter.tick_pass()
-        covered = member
-        for row in g.neighbor_masks(sampled, meter):
-            covered |= row
-        reached = covered.bit_count()
-        words = len(sampled) + reached
-        meter.alloc(words)
-        size = len(sampled) + g.n - reached
-        if best is None or size < best[0]:
-            if best is not None:
-                meter.release(best[3])
-            best = (size, sampled, covered, words)
-        else:
-            meter.release(words)
-    _, sampled, covered, words = best
-    w_f = sampled + [v for v in range(1, g.n + 1) if not covered >> v & 1]
+    for a, lanes in enumerate(rows, start=1):
+        closed = lanes[1:]
+        for column in columns:
+            closed = list(map(or_, closed, map(lanes.__getitem__, column)))
+        sizes, reached = unpack(sum(lanes)), unpack(sum(closed))
+        for b, (size, covered) in enumerate(zip(sizes, reached)):
+            meter.tick_pass()
+            meter.access(d * size)
+            words = size + covered
+            meter.alloc(words)
+            score = size + n - covered
+            if best is None or score < best[0]:
+                if best is not None:
+                    meter.release(best[3])
+                best = (score, a, b, words)
+            else:
+                meter.release(words)
+    _, a, b, words = best
+    sampled = fam.preimage(a, b, t)
+    covered = set(sampled).union(*map(g.neighbors, sampled))
+    w_f = sampled + [v for v in range(1, n + 1) if v not in covered]
     meter.release(words)
     return sorted(w_f)

@@ -9,18 +9,26 @@ lower-bounds the components of the induced subgraph, and picking the
 minimum vertex of every closed neighborhood turns components into an
 independent set of that size.
 
-Both sweeps only need each member's preimage of a short prefix {1..t} of
-the range, so ``HashFamily.preimages`` inverts the member on the few
-residues that land there instead of hashing every domain point, and
-hands it over both as a sorted id list and as a bitmask, one shift of a
-mask built once per multiplier.  Each member is then scored from the
-adjacency rows of its own preimage alone, fetched as bitmasks with one
-``GraphInstance.neighbor_masks`` call and charged word for word: one AND
-and popcount, or one OR, per row instead of a set probe per neighbour.
+Both sweeps only need each member's preimage S_f of a short prefix
+{1..t} of the range, and for a fixed multiplier a the p members differ
+only in b.  ``HashFamily.lanes`` therefore packs, per multiplier, one
+int per vertex x whose lane b is 1 exactly when f_{a,b}(x) <= t: lane b
+of a doubled mask of the residues r with r mod k < t, shifted by
+a*x mod p, and each of those p shifts is built once per family.  Sums,
+ORs and ANDs of these ints over vertices or edges yield |S_f|, |N[S_f]|,
+the edges inside S_f and the degree sum over S_f of all p members at
+once, and one ``to_bytes`` and ``memoryview.cast`` unpacks them.  So
+the code reads each adjacency once per multiplier, while the meter is
+still charged the per-member model: the degree sum over S_f in input
+accesses and the member's sets in words, as a port that scores one
+member at a time would spend them.  The lane ints are uncharged
+fast-mode scratch of Theta(n*p*log n) bits per multiplier.
 """
 
-from bisect import bisect_right
+import struct
+import sys
 from dataclasses import dataclass
+from operator import and_, mul
 
 from .errors import DomainError
 from .instances import GraphInstance
@@ -80,33 +88,44 @@ class HashFamily:
             for b in range(self.p):
                 yield HashFn(a, b, self.p, self.k)
 
-    def preimages(self, t):
-        """Yield, per member in ``__iter__`` order, the pair (xs, mask):
-        xs the ascending list of x in [1, n] with f_{a,b}(x) <= t, and
-        mask the int whose bit x is set exactly when x is in xs.
+    def preimage(self, a, b, t):
+        """The ascending x in [1, n] with f_{a,b}(x) <= t."""
+        f = HashFn(a, b, self.p, self.k)
+        return [x for x in range(1, self.n + 1) if f(x) <= t]
 
-        f(x) <= t exactly when (a*x + b) mod p is one of the residues r
-        with r mod k < t, i.e. when x = (r - b) * a^-1 (mod p).  With
-        y = r * a^-1 mod p and s = b * a^-1 mod p that is x = y - s
-        (mod p), so over the sorted y's and their copies y + p the
-        members are the values in (s, s + n], shifted down by s.  Each
-        member costs O(p*t/k), not n evaluations, and its mask is the
-        multiplier's mask of those y's shifted down by s and cut to bits
-        1..n; when n = p the residue y = s lands on s + p, i.e. on
-        vertex p = n, as it must.
+    def lanes(self, t, largest):
+        """Every member's preimage of {1..t}, packed a multiplier at a time.
+
+        Returns ``(rows, unpack)``.  ``rows`` yields, per multiplier a in
+        ``__iter__`` order, a list whose item x, for x in 1..n, is an int
+        of p lanes: lane b, counted from the low end, is 1 when
+        f_{a,b}(x) <= t and 0 otherwise; item 0 is 0.  A lane is one
+        item of the narrowest unsigned native format that holds
+        ``largest``, so sums, ORs and ANDs of items that keep every lane
+        at most ``largest`` never carry into the next lane, and
+        ``unpack(total)`` lists total's p lanes, item b for member (a, b).
+
+        f(x) <= t exactly when (a*x mod p + b) mod p is a residue r with
+        r mod k < t, so item x is a mask of those residues and of their
+        copies r + p, shifted down by a*x mod p lanes and cut to p lanes;
+        the p possible shifts are built once.
         """
-        p, n = self.p, self.n
-        full = (1 << n + 1) - 2
-        residues = [r for r in range(p) if r % self.k < t]
-        for a in range(1, p):
-            inv = pow(a, -1, p)
-            base = sorted(r * inv % p for r in residues)
-            ys = base + [y + p for y in base]
-            ymask = sum(1 << y for y in ys)
-            for b in range(p):
-                s = b * inv % p
-                lo, hi = bisect_right(ys, s), bisect_right(ys, s + n)
-                yield [y - s for y in ys[lo:hi]], ymask >> s & full
+        p = self.p
+        code = next(c for c in "BHIQ" if largest < 1 << 8 * struct.calcsize(c))
+        width = 8 * struct.calcsize(code)
+        doubled = sum(1 << width * r for r in range(2 * p) if r % p % self.k < t)
+        cut = (1 << width * p) - 1
+        shifted = [doubled >> width * c & cut for c in range(p)]
+        size = width // 8 * p
+
+        def unpack(total):
+            return memoryview(total.to_bytes(size, sys.byteorder)).cast(code).tolist()
+
+        rows = (
+            [0, *[shifted[a * x % p] for x in range(1, self.n + 1)]]
+            for a in range(1, p)
+        )
+        return rows, unpack
 
     def __repr__(self):
         return f"HashFamily(n={self.n}, k={self.k}, p={self.p})"
@@ -140,16 +159,18 @@ def avg_degree_is(g, meter=None):
     takes S_f = preimage of 1 under the best-scoring member (score
     |S_f| - edges(S_f), ties to the smallest (a, b)), and keeps every
     vertex of S_f that is minimum in its closed neighborhood within
-    G[S_f].  The current and the best member's S_f, charged as a list
-    and a set (2*|S_f| words), are held as a list and a bitmask.
+    G[S_f].
 
-    A member's edges inside S_f are counted from the neighbour rows of
-    S_f alone, read in one ``neighbor_masks`` call: each edge inside is
-    a bit of a row AND the member mask, once from each end.  The call is
-    charged sum(deg(v) for v in S_f) input accesses, about 2m/k, and the
-    winner's final scan charges that sum once more.  That is below m
-    for k >= 3; at k = 2 it is about m and can exceed it, and at k = 1,
-    where S_f = V, it is 2m per member.
+    The sweep scores the p members of a multiplier together from
+    ``HashFamily.lanes``: |S_f|, the edges inside S_f and the degree sum
+    over S_f are one sum each, over the vertices or the edges.  The
+    meter is charged per member as if it were scored from the neighbour
+    rows of S_f alone: sum(deg(v) for v in S_f) input accesses, about
+    2m/k, and the current and the best member's S_f as a list and a set,
+    2*|S_f| words.  The winner's S_f is rebuilt from its (a, b), and its
+    final scan charges its degree sum once more.  The charged reads are
+    below m for k >= 3; at k = 2 they are about m and can exceed it, and
+    at k = 1, where S_f = V, they are 2m per member.
 
     Returns
     -------
@@ -160,24 +181,36 @@ def avg_degree_is(g, meter=None):
     if not isinstance(g, GraphInstance):
         raise DomainError("avg_degree_is needs a GraphInstance")
     meter = coerce_meter(meter)
+    n = g.n
     if g.m == 0:
-        return list(range(1, g.n + 1))
-    k = -(-2 * g.m // g.n)
+        return list(range(1, n + 1))
+    k = -(-2 * g.m // n)
+    fam = cw_family(n, k, meter)
+    degrees = [0, *map(g.degree, range(1, n + 1))]
+    us, vs = zip(*g.edges)
+    # a lane counts at most n vertices, m edges or 2m adjacency words
+    rows, unpack = fam.lanes(1, max(n, 2 * g.m))
     best = None
-    for inside, member in cw_family(g.n, k, meter).preimages(1):
-        meter.tick_pass()
-        words = 2 * len(inside)
-        meter.alloc(words)
-        # an edge inside S_f is seen from both of its ends
-        rows = g.neighbor_masks(inside, meter)
-        score = len(inside) - sum([(row & member).bit_count() for row in rows]) // 2
-        if best is None or score > best[0]:
-            if best is not None:
-                meter.release(best[3])
-            best = (score, inside, member, words)
-        else:
-            meter.release(words)
-    _, inside, member, words = best
+    for a, lanes in enumerate(rows, start=1):
+        at = lanes.__getitem__
+        sizes = unpack(sum(lanes))
+        reads = unpack(sum(map(mul, lanes, degrees)))
+        inner = unpack(sum(map(and_, map(at, us), map(at, vs))))
+        for b, (size, read, edges) in enumerate(zip(sizes, reads, inner)):
+            meter.tick_pass()
+            words = 2 * size
+            meter.alloc(words)
+            meter.access(read)
+            score = size - edges
+            if best is None or score > best[0]:
+                if best is not None:
+                    meter.release(best[3])
+                best = (score, a, b, words)
+            else:
+                meter.release(words)
+    _, a, b, words = best
+    inside = fam.preimage(a, b, 1)
+    member = sum(1 << v for v in inside)
     rows = g.neighbor_masks(inside, meter)
     # v stays when no neighbour inside S_f has a smaller id
     out = [v for v, row in zip(inside, rows) if not row & member & (1 << v) - 1]

@@ -116,8 +116,9 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
     survivors = range(1, kernel.m + 1)
     for j in range(1, schedule.rounds):
         cap = schedule.kappa(k, j) + SLOP
-        survivors = []
-        for t in range(1, kernel.m + 1):
+        # a set dead after round j-1 stays dead
+        alive, survivors = survivors, []
+        for t in alive:
             if view.set_live(j, t):
                 survivors.append(t)
                 if len(survivors) > cap:

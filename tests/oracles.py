@@ -528,6 +528,65 @@ def regular_ds_accesses(n, edges, d):
     return n + d * sum(len(s) for s in _regular_ds_preimages(n, d))
 
 
+def _prime_trials(n):
+    """Trial divisions the search for the least prime >= max(2, n)
+    makes: one per divisor q tried while q*q <= c, up to c's first."""
+    trials, c = 0, max(2, n)
+    while True:
+        q = 2
+        while q * q <= c:
+            trials += 1
+            if c % q == 0:
+                break
+            q += 1
+        else:
+            return trials
+        c += 1
+
+
+def _sweep_peak(scored):
+    """Charged peak of a sweep over (score, words) pairs that holds the
+    first best-scoring member's words and charges each member's words on
+    top of them before comparing."""
+    peak = held = 0
+    best = None
+    for score, words in scored:
+        peak = max(peak, held + words)
+        if best is None or score > best:
+            best, held = score, words
+    return peak
+
+
+def avg_degree_is_meter(n, edges):
+    """(charged_peak, primitive_words, input_accesses, pass_estimate) of
+    avg_degree_is, scoring one member at a time: each member charges
+    2|S| words and one pass; all 0 on an edgeless graph."""
+    if not edges:
+        return (0, 0, 0, 0)
+    scored = [
+        (len(s) - sum(1 for u, v in edges if u in s and v in s), 2 * len(s))
+        for s in _avg_is_preimages(n, edges)
+    ]
+    accesses = avg_degree_is_accesses(n, edges)
+    return (_sweep_peak(scored), _prime_trials(n), accesses, len(scored))
+
+
+def regular_ds_meter(n, edges, d):
+    """(charged_peak, primitive_words, input_accesses, pass_estimate) of
+    regular_ds_derand on a d-regular graph, scoring one member at a
+    time: each member charges |S| + |N[S]| words and one pass; all 0
+    when n = 0."""
+    if n == 0:
+        return (0, 0, 0, 0)
+    nbr = _nbr_sets(n, edges)
+    scored = []
+    for s in _regular_ds_preimages(n, d):
+        closed = s.union(*(nbr[v] for v in s))
+        scored.append((len(closed) - len(s), len(s) + len(closed)))
+    accesses = regular_ds_accesses(n, edges, d)
+    return (_sweep_peak(scored), _prime_trials(n), accesses, len(scored))
+
+
 # ---------------------------------------------------------------- generators
 
 

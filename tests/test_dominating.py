@@ -294,6 +294,17 @@ def test_regular_accesses_match_oracle():
     assert oracles.regular_ds_accesses(10, PETERSEN.edges, 3) == 1810
 
 
+def test_regular_meter_matches_per_member_reference():
+    # outputs and whole snapshots against the reference that scores one
+    # member at a time; d = 0 gives k = 1, so S_f = V
+    cases = [(0, [], 0), (1, [], 0), (7, [], 0), *regular_sweep_cases()]
+    for n, edges, d in cases:
+        g = GraphInstance(n, edges)
+        out, snap = with_meter(lambda m: regular_ds_derand(g, d, m))
+        assert out == oracles.regular_ds_sweep(n, edges, d)
+        assert astuple(snap) == oracles.regular_ds_meter(n, edges, d)
+
+
 def test_regular_meter():
     # (charged_peak, primitive_words, input_accesses, pass_estimate)
     out, snap = with_meter(lambda m: regular_ds_derand(C6, 2, m))

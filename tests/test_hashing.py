@@ -73,12 +73,28 @@ def test_preimages_match_members():
         for k in range(1, n + 1):
             fam = cw_family(n, k)
             for t in range(1, k + 1):
-                pre = list(fam.preimages(t))
-                assert len(pre) == len(fam)
-                for f, (got, mask) in zip(fam, pre):
-                    assert got == [x for x in range(1, n + 1) if f(x) <= t]
-                    # bit x set iff x is listed, so bit 0 and bits above n clear
-                    assert mask == sum(1 << x for x in got)
+                rows, unpack = fam.lanes(t, n)
+                rows = list(rows)
+                assert len(rows) == fam.p - 1
+                members = iter(fam)
+                for lanes in rows:
+                    assert len(lanes) == n + 1 and lanes[0] == 0
+                    # bits[x - 1][b]: x's lane of member (a, b)
+                    bits = [unpack(lanes[x]) for x in range(1, n + 1)]
+                    for b in range(fam.p):
+                        f = next(members)
+                        want = [x for x in range(1, n + 1) if f(x) <= t]
+                        assert [row[b] for row in bits] == [int(x in want) for x in range(1, n + 1)]
+                        assert fam.preimage(f.a, f.b, t) == want
+
+
+def test_lane_sums_do_not_carry():
+    # every vertex in every member's preimage: each lane of the sum is n,
+    # which must fit the format chosen for the largest lane value
+    fam = cw_family(300, 1)
+    for largest in (300, 1 << 16, 1 << 32):
+        rows, unpack = fam.lanes(1, largest)
+        assert unpack(sum(next(rows))) == [300] * fam.p
 
 
 def test_family_member_lookup():
@@ -184,6 +200,25 @@ def test_avg_is_accesses_match_oracle():
         if edges:
             ks.add(-(-2 * len(edges) // n))
     assert {1, 2} <= ks and max(ks) >= 3
+
+
+def test_avg_is_meter_matches_per_member_reference():
+    # outputs and whole snapshots against the reference that scores one
+    # member at a time, with n = 1, prime n (p = n) and k = 1 (S_f = V)
+    rng = oracles.make_rng("avg-is-lanes")
+    cases = [(1, []), (2, [(1, 2)]), (7, [(1, 2), (3, 4), (5, 6)])]
+    for i in range(80):
+        n = rng.choice((2, 3, 5, 7, 11, 13)) if i % 2 else rng.randint(1, 16)
+        cases.append((n, oracles.random_graph(rng, n, rng.choice((0.05, 0.2, 0.5, 0.9)))))
+    ks = set()
+    for n, edges in cases:
+        g = GraphInstance(n, edges)
+        out, snap = with_meter(lambda m: avg_degree_is(g, m))
+        assert out == oracles.avg_degree_is_sweep(n, edges)
+        assert astuple(snap) == oracles.avg_degree_is_meter(n, edges)
+        if edges:
+            ks.add(-(-2 * len(edges) // n))
+    assert 1 in ks and max(ks) >= 4
 
 
 def test_avg_is_rejects():

@@ -87,10 +87,11 @@ def test_hs_bounded_frozen():
         hs_bounded_k(f, -1, 1)
 
 
-@pytest.mark.parametrize("space_audit, accesses", [(True, 8646), (False, 246)])
+@pytest.mark.parametrize("space_audit, accesses", [(True, 6187), (False, 231)])
 def test_hs_bounded_meter_pinned(space_audit, accesses):
-    # Each round counts its live sets once, stopping past its cap, and
-    # the last round's survivors are the tail: no set is asked twice.
+    # Each round asks only the previous round's survivors, stopping past
+    # its cap, and the last round's survivors are the tail: no set is
+    # asked twice in a round, nor again once it is dead.
     f = SetFamilyInstance(
         8, 3, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1), (2, 4, 6), (1, 5, 8)]
     )
