@@ -12,18 +12,13 @@ best sampled set together with whatever it fails to dominate.
 import math
 from collections import Counter
 from itertools import accumulate
-from operator import or_
+from operator import add, or_
 
 from .errors import DomainError, RoundLimitError
 from .exact import degeneracy
 from .hashing import cw_family
-from .instances import GraphInstance
+from .instances import GraphInstance, require_instance
 from .meter import coerce_meter
-
-
-def _require_graph(g, who):
-    if not isinstance(g, GraphInstance):
-        raise DomainError(f"{who} needs a GraphInstance")
 
 
 def c4free_ds_bounded_k(g, k, meter=None):
@@ -46,7 +41,7 @@ def c4free_ds_bounded_k(g, k, meter=None):
     list of int or None
         None means no dominating set of size at most k exists.
     """
-    _require_graph(g, "c4free_ds_bounded_k")
+    require_instance(g, GraphInstance, "c4free_ds_bounded_k")
     if k < 0:
         raise DomainError(f"budget must be nonnegative, got {k}")
     meter = coerce_meter(meter)
@@ -75,7 +70,7 @@ def c4free_ds_approx(g, meter=None):
     profile is Theta(n) words and is not charged to the meter, like the
     bounded route's covered set; this route has no audited mode.
     """
-    _require_graph(g, "c4free_ds_approx")
+    require_instance(g, GraphInstance, "c4free_ds_approx")
     n = g.n
     root = math.isqrt(n)
     cap = root if root * root == n else root + 1
@@ -170,7 +165,7 @@ def dgn_rounds(g, d=None, meter=None, space_audit=False):
     the other solvers' and changes nothing, outputs and meter charges
     alike.
     """
-    _require_graph(g, "dgn_rounds")
+    require_instance(g, GraphInstance, "dgn_rounds")
     if d is None:
         d = degeneracy(g)
     if d < 0:
@@ -233,17 +228,14 @@ def regular_ds_derand(g, d, meter=None):
     the dominating set W_f = S_f + (V minus N[S_f]) with
     S_f = {v : f(v) <= ceil(ln(d+1))}; the family average of |W_f| meets
     the n*(ln(d+1)+1)/(d+1) sampling bound, so the sweep's minimum does
-    too.  Ties break toward the lexicographically smallest (a, b).  A
-    member is scored by |S_f| + n - |N[S_f]|.
+    too.  ``HashFamily.best_member`` sweeps the family for the smallest
+    |W_f| = |S_f| + n - |N[S_f]|, ties to the smallest (a, b).
 
-    The sweep scores the p members of a multiplier together from
-    ``HashFamily.lanes``: |S_f| is the sum of the vertices' lane ints
-    and |N[S_f]| the sum, over v, of v's int OR-ed with its neighbours'.
-    The meter is charged per member as if it were scored from the
-    neighbour rows of S_f alone: d*|S_f| input accesses, since g is
-    d-regular, and the current and the best member's S_f and N[S_f] as
-    |S_f| + |N[S_f]| words.  The winner's S_f and N[S_f] are rebuilt
-    from its (a, b) uncharged, and W_f is built for the winner only.
+    |S_f| is the sum of the vertices' lane ints and |N[S_f]| the sum,
+    over v, of v's int OR-ed with its neighbours'.  A member reads
+    d*|S_f| adjacency words, since g is d-regular, and holds S_f and
+    N[S_f] as |S_f| + |N[S_f]| words.  The winner's S_f and N[S_f] are
+    rebuilt uncharged, and W_f is built for the winner only.
 
     Parameters
     ----------
@@ -257,7 +249,7 @@ def regular_ds_derand(g, d, meter=None):
     list of int
         A dominating set of g.
     """
-    _require_graph(g, "regular_ds_derand")
+    require_instance(g, GraphInstance, "regular_ds_derand")
     if d < 0:
         raise DomainError(f"degree must be nonnegative, got {d}")
     meter = coerce_meter(meter)
@@ -271,28 +263,17 @@ def regular_ds_derand(g, d, meter=None):
     fam = cw_family(n, d + 1, meter)
     # column j holds the j-th neighbour of every vertex, as g is d-regular
     columns = list(zip(*map(g.neighbors, range(1, n + 1))))
-    # a lane counts at most n vertices
-    rows, unpack = fam.lanes(t, n)
-    best = None
-    for a, lanes in enumerate(rows, start=1):
+
+    def figures(lanes, unpack):
         closed = lanes[1:]
         for column in columns:
             closed = list(map(or_, closed, map(lanes.__getitem__, column)))
         sizes, reached = unpack(sum(lanes)), unpack(sum(closed))
-        for b, (size, covered) in enumerate(zip(sizes, reached)):
-            meter.tick_pass()
-            meter.access(d * size)
-            words = size + covered
-            meter.alloc(words)
-            score = size + n - covered
-            if best is None or score < best[0]:
-                if best is not None:
-                    meter.release(best[3])
-                best = (score, a, b, words)
-            else:
-                meter.release(words)
-    _, a, b, words = best
-    sampled = fam.preimage(a, b, t)
+        scores = [size + n - covered for size, covered in zip(sizes, reached)]
+        return scores, [d * size for size in sizes], list(map(add, sizes, reached))
+
+    # a lane counts at most n vertices
+    sampled, words = fam.best_member(t, n, figures, meter)
     covered = set(sampled).union(*map(g.neighbors, sampled))
     w_f = sampled + [v for v in range(1, n + 1) if v not in covered]
     meter.release(words)

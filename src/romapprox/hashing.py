@@ -17,21 +17,19 @@ of a doubled mask of the residues r with r mod k < t, shifted by
 a*x mod p, and each of those p shifts is built once per family.  Sums,
 ORs and ANDs of these ints over vertices or edges yield |S_f|, |N[S_f]|,
 the edges inside S_f and the degree sum over S_f of all p members at
-once, and one ``to_bytes`` and ``memoryview.cast`` unpacks them.  So
-the code reads each adjacency once per multiplier, while the meter is
-still charged the per-member model: the degree sum over S_f in input
-accesses and the member's sets in words, as a port that scores one
-member at a time would spend them.  The lane ints are uncharged
-fast-mode scratch of Theta(n*p*log n) bits per multiplier.
+once, and one ``to_bytes`` and ``memoryview.cast`` unpacks them.
+``HashFamily.best_member`` runs that sweep for a caller's per-member
+figures and charges the meter as a port that scores one member at a
+time would spend.
 """
 
 import struct
 import sys
 from dataclasses import dataclass
-from operator import and_, mul
+from operator import and_, mul, sub
 
 from .errors import DomainError
-from .instances import GraphInstance
+from .instances import GraphInstance, require_instance
 from .meter import coerce_meter
 
 
@@ -127,6 +125,45 @@ class HashFamily:
         )
         return rows, unpack
 
+    def best_member(self, t, largest, figures, meter):
+        """The preimage of {1..t} under the lowest-scoring member.
+
+        ``figures(lanes, unpack)`` gets one multiplier's row and its
+        ``unpack`` from ``lanes(t, largest)`` and returns three lists
+        over that multiplier's p members in b order: the score (lower
+        is better), the input accesses and the charged words.  The
+        first member with the lowest score wins, so ties go to the
+        smallest (a, b).
+
+        The meter is charged as a port that scores one member at a
+        time from S_f's adjacency would spend: one pass and the
+        member's input accesses per member, charged once per
+        multiplier as ``tick_pass(p)`` and one ``access`` of their sum,
+        and the member's words, allocated on top of the best member's
+        and released as soon as it loses.  The lane ints are uncharged
+        fast-mode scratch of Theta(n*p*log n) bits per multiplier.
+
+        Returns ``(preimage, words)``: the winner's S_f, rebuilt from
+        its (a, b), and its words, which the meter still holds and the
+        caller releases.
+        """
+        rows, unpack = self.lanes(t, largest)
+        best = None
+        for a, lanes in enumerate(rows, start=1):
+            scores, reads, charged = figures(lanes, unpack)
+            meter.tick_pass(self.p)
+            meter.access(sum(reads))
+            for b, (score, words) in enumerate(zip(scores, charged)):
+                meter.alloc(words)
+                if best is None or score < best[0]:
+                    if best is not None:
+                        meter.release(best[3])
+                    best = (score, a, b, words)
+                else:
+                    meter.release(words)
+        _, a, b, words = best
+        return self.preimage(a, b, t), words
+
     def __repr__(self):
         return f"HashFamily(n={self.n}, k={self.k}, p={self.p})"
 
@@ -155,22 +192,18 @@ def avg_degree_is(g, meter=None):
     """Independent set of size at least n over twice the ceiling of the
     average degree.
 
-    Sweeps the 2-universal family with range size k = ceil(avg degree),
-    takes S_f = preimage of 1 under the best-scoring member (score
-    |S_f| - edges(S_f), ties to the smallest (a, b)), and keeps every
-    vertex of S_f that is minimum in its closed neighborhood within
-    G[S_f].
+    Sweeps the 2-universal family with range size k = ceil(avg degree)
+    through ``HashFamily.best_member``, takes S_f = preimage of 1 under
+    the member of largest |S_f| - edges(S_f), ties to the smallest
+    (a, b), and keeps every vertex of S_f that is minimum in its closed
+    neighborhood within G[S_f].
 
-    The sweep scores the p members of a multiplier together from
-    ``HashFamily.lanes``: |S_f|, the edges inside S_f and the degree sum
-    over S_f are one sum each, over the vertices or the edges.  The
-    meter is charged per member as if it were scored from the neighbour
-    rows of S_f alone: sum(deg(v) for v in S_f) input accesses, about
-    2m/k, and the current and the best member's S_f as a list and a set,
-    2*|S_f| words.  The winner's S_f is rebuilt from its (a, b), and its
-    final scan charges its degree sum once more.  The charged reads are
-    below m for k >= 3; at k = 2 they are about m and can exceed it, and
-    at k = 1, where S_f = V, they are 2m per member.
+    |S_f|, the edges inside S_f and the degree sum over S_f are one sum
+    each, over the vertices or the edges.  A member reads the degree
+    sum over S_f, about 2m/k, and holds S_f as a list and a set, 2*|S_f|
+    words; the final scan reads the winner's degree sum once more.  The
+    reads are below m per member for k >= 3; at k = 2 they are about m
+    and can exceed it, and at k = 1, where S_f = V, they are 2m.
 
     Returns
     -------
@@ -178,8 +211,7 @@ def avg_degree_is(g, meter=None):
         Independent in g; for m >= 1 the size is at least n/(2k).
         Edgeless inputs return every vertex.
     """
-    if not isinstance(g, GraphInstance):
-        raise DomainError("avg_degree_is needs a GraphInstance")
+    require_instance(g, GraphInstance, "avg_degree_is")
     meter = coerce_meter(meter)
     n = g.n
     if g.m == 0:
@@ -188,31 +220,22 @@ def avg_degree_is(g, meter=None):
     fam = cw_family(n, k, meter)
     degrees = [0, *map(g.degree, range(1, n + 1))]
     us, vs = zip(*g.edges)
-    # a lane counts at most n vertices, m edges or 2m adjacency words
-    rows, unpack = fam.lanes(1, max(n, 2 * g.m))
-    best = None
-    for a, lanes in enumerate(rows, start=1):
+
+    def figures(lanes, unpack):
         at = lanes.__getitem__
         sizes = unpack(sum(lanes))
-        reads = unpack(sum(map(mul, lanes, degrees)))
         inner = unpack(sum(map(and_, map(at, us), map(at, vs))))
-        for b, (size, read, edges) in enumerate(zip(sizes, reads, inner)):
-            meter.tick_pass()
-            words = 2 * size
-            meter.alloc(words)
-            meter.access(read)
-            score = size - edges
-            if best is None or score > best[0]:
-                if best is not None:
-                    meter.release(best[3])
-                best = (score, a, b, words)
-            else:
-                meter.release(words)
-    _, a, b, words = best
-    inside = fam.preimage(a, b, 1)
-    member = sum(1 << v for v in inside)
-    rows = g.neighbor_masks(inside, meter)
+        reads = unpack(sum(map(mul, lanes, degrees)))
+        return list(map(sub, inner, sizes)), reads, [2 * size for size in sizes]
+
+    # a lane counts at most n vertices, m edges or 2m adjacency words
+    inside, words = fam.best_member(1, max(n, 2 * g.m), figures, meter)
+    member = set(inside)
     # v stays when no neighbour inside S_f has a smaller id
-    out = [v for v, row in zip(inside, rows) if not row & member & (1 << v) - 1]
+    out = [
+        v
+        for v in inside
+        if not any(w < v and w in member for w in g.neighbors(v, meter))
+    ]
     meter.release(words)
     return out

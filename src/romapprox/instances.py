@@ -22,6 +22,13 @@ faults in a text the one met first in reading order is reported.
 from .errors import DomainError, ParseError
 
 
+def require_instance(instance, cls, who):
+    """Raise ``DomainError("<who> needs a <cls>")`` unless ``instance``
+    is a ``cls``."""
+    if not isinstance(instance, cls):
+        raise DomainError(f"{who} needs a {cls.__name__}")
+
+
 def _tokenize(text):
     """Yield (line_number, tokens) for content lines, skipping comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -54,7 +61,7 @@ def _fields(lineno, tokens, tag, count, what):
 class GraphInstance:
     """Undirected simple graph with input-ordered adjacency."""
 
-    __slots__ = ("n", "m", "edges", "_adj", "_rows")
+    __slots__ = ("n", "m", "edges", "_adj")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -79,7 +86,6 @@ class GraphInstance:
         self.edges = tuple(pairs)
         self.m = len(pairs)
         self._adj = [tuple(a) for a in adj]
-        self._rows = None
 
     def degree(self, v, meter=None):
         if not 1 <= v <= self.n:
@@ -94,33 +100,6 @@ class GraphInstance:
         if meter is not None:
             meter.access(len(self._adj[v]))
         return self._adj[v]
-
-    def neighbor_masks(self, vs, meter=None):
-        """The open neighbourhood of each vertex of ``vs``, in its order,
-        as an int with bit w set for each neighbour w, read in one call.
-
-        The first id of ``vs`` outside 1..n raises the DomainError
-        ``neighbors`` raises, before anything is charged.  The meter is
-        charged one access per neighbour read, the summed degree of
-        ``vs``, in a single ``access`` call; an empty ``vs`` charges 0.
-        The rows are built on the first call, so an instance that never
-        asks for them never pays for them.
-        """
-        rows = self._rows
-        if rows is None:
-            # keyed 1..n, so one lookup both validates an id and reads it
-            rows = self._rows = {
-                v: sum(1 << w for w in adj)
-                for v, adj in enumerate(self._adj[1:], start=1)
-            }
-        try:
-            out = list(map(rows.__getitem__, vs))
-        except KeyError as exc:
-            raise DomainError(f"vertex {exc.args[0]} out of range 1..{self.n}") from None
-        if meter is not None:
-            # a row's popcount is its vertex's degree
-            meter.access(sum(map(int.bit_count, out)))
-        return out
 
     def has_edge(self, u, v):
         if not (1 <= u <= self.n and 1 <= v <= self.n):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .instances import GraphInstance, SetFamilyInstance
+from .instances import GraphInstance, SetFamilyInstance, require_instance
 
 NO = "NO"
 KERNEL = "KERNEL"
@@ -59,8 +59,7 @@ def buss_vc_kernel(g, k):
     only be covered by k vertices of degree at most k, so more than k^2
     leftover edges are hopeless.
     """
-    if not isinstance(g, GraphInstance):
-        raise DomainError("buss_vc_kernel needs a GraphInstance")
+    require_instance(g, GraphInstance, "buss_vc_kernel")
     if k < 0:
         raise DomainError(f"budget must be nonnegative, got {k}")
     high = {v for v in range(1, g.n + 1) if g.degree(v) > k}
@@ -74,11 +73,6 @@ def buss_vc_kernel(g, k):
         keep.add(u)
         keep.add(v)
     return KernelOutcome(KERNEL, tuple(sorted(keep)))
-
-
-def _require_family(f, who):
-    if not isinstance(f, SetFamilyInstance):
-        raise DomainError(f"{who} needs a SetFamilyInstance")
 
 
 def fk_hs_kernel(f, k):
@@ -111,7 +105,7 @@ def fk_hs_kernel(f, k):
     signal fires only when genuinely distinct-enough sets exhaust the
     global (k+1)^d ceiling.
     """
-    _require_family(f, "fk_hs_kernel")
+    require_instance(f, SetFamilyInstance, "fk_hs_kernel")
     retained, _, saturated_no = retention_scan(f, k)
     if saturated_no:
         return KernelOutcome(NO, ())
@@ -127,7 +121,7 @@ def retention_scan(f, k):
     The witness list backs the staggered scheme: every discarded set
     contains one of them.
     """
-    _require_family(f, "retention_scan")
+    require_instance(f, SetFamilyInstance, "retention_scan")
     if k < 0:
         raise DomainError(f"budget must be nonnegative, got {k}")
     ceiling = [(k + 1) ** (f.d - size) for size in range(f.d + 1)]

@@ -27,8 +27,7 @@ d(δ-1), plus its sweep stage.  Chosen sets are pairwise disjoint, so
 each costs at most its d elements against any optimum that must hit it.
 """
 
-from .errors import DomainError
-from .instances import GraphInstance, SetFamilyInstance
+from .instances import GraphInstance, SetFamilyInstance, require_instance
 from .layers import (
     LayeredFamilyView,
     LayeredGraphView,
@@ -212,8 +211,7 @@ class _IndepStage(StagePredicate):
 
 def bd_vc_view(g, meter=None, memoized=True):
     """The layered view whose stage deletions form the 2-approximate cover."""
-    if not isinstance(g, GraphInstance):
-        raise DomainError("bd_vc_2approx needs a GraphInstance")
+    require_instance(g, GraphInstance, "bd_vc_2approx")
     stages = [_CoverStage(i) for i in range(1, g.max_degree() + 1)]
     return LayeredGraphView(g, stages, meter=meter, memoized=memoized)
 
@@ -238,8 +236,7 @@ def bd_is_view(g, meter=None, memoized=True):
     vertex still live there is machine-chosen and kept unless a smaller
     live survivor blocks it.
     """
-    if not isinstance(g, GraphInstance):
-        raise DomainError("bd_maximal_is needs a GraphInstance")
+    require_instance(g, GraphInstance, "bd_maximal_is")
     stages = [_IndepStage(i) for i in range(1, g.max_degree() + 2)]
     return LayeredGraphView(g, stages, meter=meter, memoized=memoized)
 
@@ -336,8 +333,7 @@ class _HsStage(StagePredicate):
 def hs_view(f, meter=None, memoized=True):
     """The layered view whose stage deletions form the d-approximate
     hitting set, one stage per multiplicity rank."""
-    if not isinstance(f, SetFamilyInstance):
-        raise DomainError("bounded_mult_hs needs a SetFamilyInstance")
+    require_instance(f, SetFamilyInstance, "bounded_mult_hs")
     stages = [_HsStage(i) for i in range(1, f.max_multiplicity() + 1)]
     return LayeredFamilyView(f, stages, meter=meter, memoized=memoized)
 

@@ -31,7 +31,7 @@ audit material.
 """
 
 from .errors import DomainError
-from .instances import GraphInstance, SetFamilyInstance
+from .instances import GraphInstance, SetFamilyInstance, require_instance
 from .meter import coerce_meter
 
 WORDS_PER_LEVEL = 32
@@ -282,8 +282,7 @@ class LayeredGraphView(_LayeredView):
     _kinds = ("graph", "V", "E")
 
     def __init__(self, base, stages, meter=None, memoized=False):
-        if not isinstance(base, GraphInstance):
-            raise DomainError("LayeredGraphView needs a GraphInstance")
+        require_instance(base, GraphInstance, "LayeredGraphView")
         super().__init__(base, stages, meter, memoized)
         self._by_degree = None
 
@@ -310,8 +309,7 @@ class LayeredFamilyView(_LayeredView):
     _kinds = ("family", "U", "F")
 
     def __init__(self, base, stages, meter=None, memoized=False):
-        if not isinstance(base, SetFamilyInstance):
-            raise DomainError("LayeredFamilyView needs a SetFamilyInstance")
+        require_instance(base, SetFamilyInstance, "LayeredFamilyView")
         super().__init__(base, stages, meter, memoized)
 
     element_live = _LayeredView._checked_live

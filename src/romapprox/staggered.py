@@ -21,8 +21,8 @@ from itertools import combinations
 
 from .errors import DomainError
 from .exact import StructureKind, validate
-from .instances import DigraphInstance, GraphInstance, SetFamilyInstance
-from .kernels import _require_family, retention_scan
+from .instances import DigraphInstance, GraphInstance, SetFamilyInstance, require_instance
+from .kernels import retention_scan
 from .layers import LayeredFamilyView, StagePredicate, enumerate_stage
 
 SLOP = 1e-9
@@ -103,7 +103,7 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
         the surviving sets, a hitting set for all of f of size at most
         (ceil((d-1)/eps) + d) * (k+1)^(1+eps).
     """
-    _require_family(f, "hs_bounded_k")
+    require_instance(f, SetFamilyInstance, "hs_bounded_k")
     _check_eps(eps)
     kernel = _augmented_kernel(f, k)
     if kernel is None:
@@ -138,7 +138,7 @@ def hs_eps_approx(f, eps, meter=None, space_audit=False):
     some set, which always hits and is within n^eps of any optimum that
     large.
     """
-    _require_family(f, "hs_eps_approx")
+    require_instance(f, SetFamilyInstance, "hs_eps_approx")
     _check_eps(eps)
     cap = math.ceil(f.n ** (1 - eps) - SLOP)
     for k in range(1, cap):
@@ -156,7 +156,7 @@ def hs_sqrt_approx(f, meter=None):
     family.  At budget ceil(n^(1/d)) returns the ground set.  ``meter``
     is accepted like every solver's, but nothing is charged to it.
     """
-    _require_family(f, "hs_sqrt_approx")
+    require_instance(f, SetFamilyInstance, "hs_sqrt_approx")
     cap = math.ceil(f.n ** (1 / f.d) - SLOP)
     for k in range(1, cap):
         retained, _, saturated_no = retention_scan(f, k)
@@ -268,15 +268,13 @@ def forbidden_family(instance, problem):
     names = FORBIDDEN_CATALOG[problem]
     directed = problem == "tournament-fvs"
     if directed:
-        if not isinstance(instance, DigraphInstance):
-            raise DomainError(f"{problem} needs a DigraphInstance")
+        require_instance(instance, DigraphInstance, problem)
         ok, witness = validate(StructureKind.TOURNAMENT, instance)
         if not ok:
             raise DomainError(f"not a tournament: {witness}")
         source = instance
     else:
-        if not isinstance(instance, GraphInstance):
-            raise DomainError(f"{problem} needs a GraphInstance")
+        require_instance(instance, GraphInstance, problem)
         source = [set()]
         source.extend(set(instance.neighbors(v)) for v in range(1, instance.n + 1))
     found = set()

@@ -587,6 +587,25 @@ def regular_ds_meter(n, edges, d):
     return (_sweep_peak(scored), _prime_trials(n), accesses, len(scored))
 
 
+def best_member_reference(table):
+    """Winner, held words and (charged_peak, primitive_words,
+    input_accesses, pass_estimate) of a sweep that scores one member at
+    a time.  ``table`` lists, per multiplier a = 1, 2, ..., the members'
+    (scores, reads, words) in b order; the first lowest score wins, and
+    each member charges one pass, its reads and its words on top of the
+    held best's before it is compared."""
+    peak = held = accesses = passes = 0
+    best = winner = None
+    for a, (scores, reads, words) in enumerate(table, start=1):
+        for b, (score, read, charged) in enumerate(zip(scores, reads, words)):
+            passes += 1
+            accesses += read
+            peak = max(peak, held + charged)
+            if best is None or score < best:
+                best, held, winner = score, charged, (a, b)
+    return winner, held, (peak, 0, accesses, passes)
+
+
 # ---------------------------------------------------------------- generators
 
 

@@ -104,6 +104,82 @@ def test_family_member_lookup():
     assert f(5) == (2 * 5 + 4) % 7 % 3 + 1
 
 
+def _check_best_member(fam, t, table):
+    """Run ``fam.best_member`` with figures read off ``table``, one entry
+    per multiplier, and check it against the per-member reference;
+    returns the winner and the snapshot taken before the caller's
+    release."""
+    meter = WorkspaceMeter()
+    seen = []
+
+    def figures(lanes, unpack):
+        seen.append(lanes)
+        return table[len(seen) - 1]
+
+    inside, words = fam.best_member(t, fam.n, figures, meter)
+    snap = meter.snapshot()
+    (a, b), held, want = oracles.best_member_reference(table)
+    assert seen == list(fam.lanes(t, fam.n)[0])
+    assert inside == fam.preimage(a, b, t)
+    assert words == held == meter.charged_current
+    assert astuple(snap) == want
+    meter.release(words)
+    return (a, b), snap
+
+
+def test_best_member_all_ties_pick_the_first_member():
+    # k = 1 sends every vertex to 1, so every member has S_f = V and the
+    # same score; (1, 0) wins and holds its 6 words under every later
+    # member, the largest of them (4, 4) with 25
+    fam = cw_family(5, 1)
+    p = fam.p
+    table = [([3] * p, [2] * p, [a * p + b + 1 for b in range(p)]) for a in range(1, p)]
+    winner, snap = _check_best_member(fam, 1, table)
+    assert winner == (1, 0)
+    assert astuple(snap) == (6 + 25, 0, 2 * 20, 20)
+
+
+def test_best_member_peak_is_held_best_plus_current_member():
+    # the best moves to (1, 1) and (1, 3) inside multiplier 1, then to
+    # the zero-word (2, 1) and to (2, 4) in multiplier 2; ties with the
+    # held score, (2, 0), (2, 3) and all of multiplier 3, never win; the
+    # peak 12 is (2, 4)'s 7 held words plus (3, 4)'s 5
+    fam = cw_family(4, 2)
+    assert fam.p == 5
+    table = [
+        ([5, 3, 4, 2, 6], [1, 2, 3, 4, 5], [4, 1, 9, 2, 3]),
+        ([2, 1, 7, 1, 0], [0, 0, 0, 0, 0], [8, 0, 5, 6, 7]),
+        ([0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [1, 2, 3, 4, 5]),
+        ([9, 9, 9, 9, 9], [2, 0, 2, 0, 2], [0, 0, 0, 0, 0]),
+    ]
+    winner, snap = _check_best_member(fam, 1, table)
+    assert winner == (2, 4)
+    assert astuple(snap) == (12, 0, 26, 20)
+
+
+def test_best_member_zero_word_winner_holds_nothing():
+    fam = cw_family(3, 3)
+    p = fam.p
+    table = [([a, *[9] * (p - 1)], [0] * p, [0, *[4] * (p - 1)]) for a in range(1, p)]
+    winner, snap = _check_best_member(fam, 2, table)
+    assert winner == (1, 0)
+    assert astuple(snap) == (4, 0, 0, p * (p - 1))
+
+
+def test_best_member_matches_per_member_reference():
+    # few distinct scores, so ties are common; zero reads and words too
+    rng = oracles.make_rng("best-member")
+    for _ in range(200):
+        n = rng.randint(1, 13)
+        k = rng.randint(1, n)
+        fam = cw_family(n, k)
+        table = [
+            tuple([rng.randrange(4) for _ in range(fam.p)] for _ in range(3))
+            for _ in range(fam.p - 1)
+        ]
+        _check_best_member(fam, rng.randint(1, k), table)
+
+
 def score_average(g):
     """Family average of |S_f| - m_S in exact arithmetic."""
     k = -(-2 * g.m // g.n)

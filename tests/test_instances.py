@@ -176,24 +176,6 @@ def test_metered_accessors_charge_input_accesses():
     assert m.charged_peak == 0
 
 
-def test_neighbor_masks_empty_and_out_of_range():
-    g = load_graph(PATH4)
-    m = WorkspaceMeter()
-    assert g.neighbor_masks([], meter=m) == []
-    assert m.input_accesses == 0
-    for bad in (0, 5):
-        with pytest.raises(DomainError) as single:
-            g.neighbors(bad)
-        for vs in ([bad], [bad, 1, 2], [1, bad, 3], [2, 3, bad]):
-            fresh = load_graph(PATH4)
-            for graph in (fresh, g):  # rows not yet built, and built
-                m = WorkspaceMeter()
-                with pytest.raises(DomainError) as bulk:
-                    graph.neighbor_masks(vs, meter=m)
-                assert str(bulk.value) == str(single.value)
-                assert m.input_accesses == 0
-
-
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=9))
@@ -237,15 +219,10 @@ def test_digraph_round_trip(g):
     assert load_digraph(serialize_digraph(g)) == g
 
 
-@given(st.data())
-def test_neighbor_masks_match_neighbors(data):
-    g = data.draw(graphs())
-    vs = data.draw(st.lists(st.integers(min_value=1, max_value=g.n), max_size=12))
-    m = WorkspaceMeter()
-    got = g.neighbor_masks(vs, meter=m)
-    assert got == [sum(1 << w for w in g.neighbors(v)) for v in vs]
-    assert m.input_accesses == sum(g.degree(v) for v in vs)
-    assert g.neighbor_masks(vs) == got
+@given(graphs())
+def test_neighbors_and_has_edge_match_edges(g):
     edges = {frozenset(e) for e in g.edges}
     ids = range(1, g.n + 1)
+    for v in ids:
+        assert {frozenset((v, w)) for w in g.neighbors(v)} == {e for e in edges if v in e}
     assert all(g.has_edge(u, v) == (frozenset((u, v)) in edges) for u in ids for v in ids)
