@@ -26,9 +26,11 @@ cycle of lambda, plus one lap of the cycle.  A vertex off the cycle
 subtree, so neither deletion changes its answer: it is its own subtree
 cover, and only cycle vertices size the two leftover forests.
 
-Two execution styles share the logic: a fast path that materializes
-children lists and one membership dict per component, and a metered path
-that answers each membership query with O(1) charged words by walking
+Two execution styles share the logic: a fast path that decides each id
+once in a leaves-first pass (an id is decided when all of its children
+are, and its decision releases its successor; what is left undecided is
+the cycle vertices, and each cycle is walked once per ban), and a metered
+path that answers each membership query with O(1) charged words by walking
 the subtree and re-deriving structure from the read-only input.  The
 walk holds its cursor's parent and grandparent, so descents and sibling
 steps ask the view for nothing; only a climb asks for one more ancestor.
@@ -352,48 +354,43 @@ def component_cover_member(view, v):
 # ---------------------------------------------------------------- fast path
 
 
-def _members_from_kids(kids, roots, banned=None):
-    member = {}
-    order = []
-    for r in roots:
-        stack = [r]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(c for c in kids[x] if c != banned)
-    for x in reversed(order):
-        member[x] = any(
-            not member[c] for c in kids[x] if c != banned
-        )
-    return member
-
-
 def fast_cover_members(out):
     """Membership dict for every id of the successor map ``out`` (id ->
     out-neighbor or None, every out-neighbor itself an id) at once; free
-    use of working memory."""
-    kids = {v: [] for v in out}
-    for v, w in out.items():
+    use of working memory.  Decides each id once, leaves first; only
+    cycle vertices are walked twice, once per banned candidate."""
+    pending = dict.fromkeys(out, 0)
+    for w in out.values():
         if w is not None:
-            kids[w].append(v)
+            pending[w] += 1
+    exposed = set()  # ids with an untaken child
     member = {}
+    ready = [v for v, k in pending.items() if not k]
+    for v in ready:
+        taken = member[v] = v in exposed
+        w = out[v]
+        if w is not None:
+            if not taken:
+                exposed.add(w)
+            pending[w] -= 1
+            if not pending[w]:
+                ready.append(w)
     for v in out:
         if v in member:
             continue
-        u = _component_rep(out.__getitem__, v)[0]
-        w = out[u]
-        if w is None:
-            got = _members_from_kids(kids, [u])
-        else:
-            def masked_members(banned):
-                got = _members_from_kids(kids, kids[banned], banned=banned)
-                got[banned] = True
-                return got
-
-            mu = masked_members(u)
-            mw = masked_members(w)
-            got = mu if sum(mu.values()) <= sum(mw.values()) else mw
-        member.update(got)
+        u, x = v, out[v]
+        while x != v:
+            u, x = min(u, x), out[x]
+        covers = []
+        for banned in (u, out[u]):
+            cover = {banned: True}
+            taken = True  # the banned child's arc is gone
+            x = out[banned]
+            while x != banned:
+                taken = cover[x] = x in exposed or not taken
+                x = out[x]
+            covers.append(cover)
+        member.update(min(covers, key=lambda c: sum(c.values())))
     return member
 
 

@@ -263,6 +263,47 @@ def test_functional_metered_matches_fast_on_all_small_maps():
     assert checked == 1 + 2**2 + 3**3 + 4**4 + 5**5
 
 
+def sparse_map(rng, n, arcs):
+    """The successor map of ``arcs`` on 1..n relabelled to sparse ids by
+    an order-preserving map, keys in shuffled order (stage subgraphs
+    list their ids by degree, not ascending), and the relabelling."""
+    label = dict(zip(range(1, n + 1), sorted(rng.sample(range(1, 50 * n), n))))
+    succ = dict.fromkeys(range(1, n + 1))
+    succ.update(arcs)
+    keys = list(label)
+    rng.shuffle(keys)
+    return {label[v]: label.get(succ[v]) for v in keys}, label
+
+
+def test_fast_cover_members_on_sparse_ids():
+    rng = oracles.make_rng("sparse-ids")
+    for n in range(1, 6):
+        for arcs in functional_maps(n):
+            dense = fast_cover_members(dict.fromkeys(range(1, n + 1)) | dict(arcs))
+            out, label = sparse_map(rng, n, arcs)
+            assert fast_cover_members(out) == {label[v]: dense[v] for v in dense}
+
+
+def test_fast_cover_members_is_minimum_on_random_sparse_maps():
+    rng = oracles.make_rng("sparse-tau")
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        arcs = oracles.random_functional_arcs(rng, n)
+        out, label = sparse_map(rng, n, arcs)
+        member = fast_cover_members(out)
+        assert member.keys() == out.keys()
+        cover = [v for v in range(1, n + 1) if member[label[v]]]
+        edges = DigraphInstance(n, arcs).underlying_edges()
+        assert oracles.is_vertex_cover(edges, cover)
+        assert len(cover) == oracles.tau(n, edges)
+
+
+def test_fast_cover_members_bare_two_cycle():
+    for a, b in ((1, 2), (4, 9), (17, 30)):
+        assert fast_cover_members({a: b, b: a}) == {a: True, b: False}
+        assert fast_cover_members({b: a, a: b}) == {a: True, b: False}
+
+
 def test_component_rep_matches_oracle():
     for n in range(1, 6):
         for arcs in functional_maps(n):
