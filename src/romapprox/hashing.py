@@ -139,9 +139,12 @@ class HashFamily:
         time from S_f's adjacency would spend: one pass and the
         member's input accesses per member, charged once per
         multiplier as ``tick_pass(p)`` and one ``access`` of their sum,
-        and the member's words, allocated on top of the best member's
-        and released as soon as it loses.  The lane ints are uncharged
-        fast-mode scratch of Theta(n*p*log n) bits per multiplier.
+        and the member's words, held on top of the best member's until
+        it loses.  Only the most words held at once is charged, with one
+        ``alloc`` at the end of the sweep, and one ``release`` leaves the
+        winner's words held, so the charged peak is the port's.  The
+        lane ints are uncharged fast-mode scratch of Theta(n*p*log n)
+        bits per multiplier.
 
         Returns ``(preimage, words)``: the winner's S_f, rebuilt from
         its (a, b), and its words, which the meter still holds and the
@@ -149,20 +152,21 @@ class HashFamily:
         """
         rows, unpack = self.lanes(t, largest)
         best = None
+        held = top = 0
         for a, lanes in enumerate(rows, start=1):
             scores, reads, charged = figures(lanes, unpack)
             meter.tick_pass(self.p)
             meter.access(sum(reads))
             for b, (score, words) in enumerate(zip(scores, charged)):
-                meter.alloc(words)
+                if held + words > top:
+                    top = held + words
                 if best is None or score < best[0]:
-                    if best is not None:
-                        meter.release(best[3])
-                    best = (score, a, b, words)
-                else:
-                    meter.release(words)
-        _, a, b, words = best
-        return self.preimage(a, b, t), words
+                    best = (score, a, b)
+                    held = words
+        meter.alloc(top)
+        meter.release(top - held)
+        _, a, b = best
+        return self.preimage(a, b, t), held
 
     def __repr__(self):
         return f"HashFamily(n={self.n}, k={self.k}, p={self.p})"

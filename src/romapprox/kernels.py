@@ -91,7 +91,8 @@ def fk_hs_kernel(f, k):
         sets, in input order, or NO when some set is discarded with the
         empty set as its only saturated witness (the retained family
         alone has hit the global ceiling, so no budget-k hitting set
-        survives at desk scale).
+        survives at desk scale).  The scan stops at that set, so a NO
+        reads only the sets up to it.
 
     Notes
     -----
@@ -113,13 +114,18 @@ def fk_hs_kernel(f, k):
 
 
 def retention_scan(f, k):
-    """One pass of the retention rule.
+    """One pass of the retention rule, stopping at its first NO.
 
     Returns (retained set indices, saturated discard witnesses as
-    sorted tuples in first appearance order, whether some discard had
-    only the empty witness).
-    The witness list backs the staggered scheme: every discarded set
-    contains one of them.
+    sorted tuples in first appearance order, False) when no discard has
+    the empty set as its only witness.  The witness list backs the
+    staggered scheme: every discarded set contains one of them.
+
+    The first discard whose only witness is the empty set proves the
+    budget k infeasible, and a NO carries no payload, like
+    :class:`KernelOutcome`: the scan returns ``((), (), True)`` there,
+    reading no later set.  Retention depends only on earlier sets, so
+    appending sets after that one never changes the answer.
     """
     require_instance(f, SetFamilyInstance, "retention_scan")
     if k < 0:
@@ -128,7 +134,6 @@ def retention_scan(f, k):
     counts = {}
     retained = []
     recorded = {}  # insertion-ordered, so first appearance order
-    saturated_no = False
     for j in range(1, f.m + 1):
         # combinations of a sorted tuple are sorted tuples, one key per subset
         ordered = sorted(f.set_elements(j))
@@ -143,11 +148,11 @@ def retention_scan(f, k):
             continue
         # subsets ascend by size, so () is last only when it is alone
         if not witnesses[-1]:
-            saturated_no = True
+            return (), (), True
         for b in witnesses:
             if b and b not in recorded:
                 recorded[b] = None
-    return tuple(retained), tuple(recorded), saturated_no
+    return tuple(retained), tuple(recorded), False
 
 
 def kernel_family(f, outcome):

@@ -70,6 +70,20 @@ class _FreqStage(StagePredicate):
     def check(self, level, e):
         return level.live_set_count_containing(e) >= self.theta - SLOP
 
+    def deletions(self, level):
+        """The live elements ``check`` deletes, ascending, from one
+        charged read of each set: a set is live when all its elements
+        are, and each live set counts once for each of its elements."""
+        alive = level.live_ids()
+        counts = [0] * (level.n + 1)
+        for j in range(1, level.base.m + 1):
+            members = level.set_elements(j)
+            if all(e in alive for e in members):
+                for e in members:
+                    counts[e] += 1
+        bar = self.theta - SLOP
+        return [e for e in alive if counts[e] >= bar]
+
 
 def _augmented_kernel(f, k):
     """Retained sets plus the multi-element saturated witnesses, or None

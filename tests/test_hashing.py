@@ -104,12 +104,13 @@ def test_family_member_lookup():
     assert f(5) == (2 * 5 + 4) % 7 % 3 + 1
 
 
-def _check_best_member(fam, t, table):
+def _check_best_member(fam, t, table, meter=None):
     """Run ``fam.best_member`` with figures read off ``table``, one entry
     per multiplier, and check it against the per-member reference;
     returns the winner and the snapshot taken before the caller's
     release."""
-    meter = WorkspaceMeter()
+    if meter is None:
+        meter = WorkspaceMeter()
     seen = []
 
     def figures(lanes, unpack):
@@ -164,6 +165,36 @@ def test_best_member_zero_word_winner_holds_nothing():
     winner, snap = _check_best_member(fam, 2, table)
     assert winner == (1, 0)
     assert astuple(snap) == (4, 0, 0, p * (p - 1))
+
+
+def test_best_member_charges_its_peak_once():
+    # (1, 0) wins with 10 words and (1, 1) loses holding 6 on top of
+    # them: the peak 16.  (2, 0) then wins with 2 words, and no later
+    # member reaches 16 on top of those.  The sweep makes one alloc of
+    # the peak and one release down to the winner's 2 words, which the
+    # caller then releases.
+    fam = cw_family(4, 2)
+    table = [
+        ([5, 6, 9, 9, 9], [1] * 5, [10, 6, 1, 1, 1]),
+        ([3, 9, 9, 9, 9], [1] * 5, [2, 7, 7, 7, 7]),
+        ([9] * 5, [1] * 5, [5] * 5),
+        ([9] * 5, [1] * 5, [13] * 5),
+    ]
+    ledger = []
+
+    class Ledger(WorkspaceMeter):
+        def alloc(self, words):
+            ledger.append(("alloc", words))
+            super().alloc(words)
+
+        def release(self, words):
+            ledger.append(("release", words))
+            super().release(words)
+
+    winner, snap = _check_best_member(fam, 1, table, Ledger())
+    assert winner == (2, 0)
+    assert astuple(snap) == (16, 0, 20, 20)
+    assert ledger == [("alloc", 16), ("release", 14), ("release", 2)]
 
 
 def test_best_member_matches_per_member_reference():

@@ -99,11 +99,12 @@ def test_fk_random_families():
 
 
 def test_retention_scan_matches_rescan():
+    # A NO carries no payload; any other scan equals the direct recount.
     rng = oracles.make_rng("retention-rescan")
     # at k = 0 the second set meets the empty set's ceiling and nothing else
     only_empty = SetFamilyInstance(2, 1, [(1,), (2,)])
-    assert retention_scan(only_empty, 0) == oracles.retention_rescan(only_empty.sets, 1, 0)
-    assert retention_scan(only_empty, 0)[2] is True
+    assert oracles.retention_rescan(only_empty.sets, 1, 0)[2] is True
+    assert retention_scan(only_empty, 0) == ((), (), True)
     saw_no = saw_witness = 0
     for _ in range(150):
         d = rng.randint(1, 4)
@@ -114,11 +115,62 @@ def test_retention_scan_matches_rescan():
         f = SetFamilyInstance(n, d, sets)
         for k in range(4):
             got = retention_scan(f, k)
-            assert got == oracles.retention_rescan(sets, d, k)
+            want = oracles.retention_rescan(sets, d, k)
+            if want[2]:
+                assert got == ((), (), True)
+                saw_no += 1
+                continue
+            assert got == want
             assert all(type(b) is tuple for b in got[1])
-            saw_no += got[2]
             saw_witness += bool(got[1])
     assert saw_no and saw_witness
+
+
+def _proving_set(sets, d, k):
+    """1-based index of the first set discarded with only the empty
+    witness, or None: the rescan of each prefix turns NO there."""
+    for t in range(1, len(sets) + 1):
+        if oracles.retention_rescan(sets[:t], d, k)[2]:
+            return t
+    return None
+
+
+def test_retention_scan_no_ignores_later_sets():
+    # Sets appended after the proving set leave a NO unchanged, however
+    # they would have been retained or discarded.
+    rng = oracles.make_rng("retention-prefix")
+    saw = 0
+    for _ in range(120):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 8)
+        k = rng.randint(0, 2)
+        sets = oracles.random_family(rng, n, rng.randint(1, 14), d)
+        t = _proving_set(sets, d, k)
+        if t is None:
+            continue
+        saw += 1
+        prefix = SetFamilyInstance(n, d, sets[:t])
+        assert retention_scan(prefix, k) == ((), (), True)
+        for _ in range(3):
+            tail = oracles.random_family(rng, n, rng.randint(1, 6), d)
+            f = SetFamilyInstance(n, d, sets[:t] + tail)
+            assert retention_scan(f, k) == ((), (), True)
+            assert fk_hs_kernel(f, k).is_no
+    assert saw
+
+
+def test_retention_scan_reads_no_set_past_the_proving_one():
+    # At k = 0 every set after the first is discarded through the empty
+    # set alone, so a scan that reads past set 2 touches a set it must not.
+    read = []
+
+    class Logged(SetFamilyInstance):
+        def set_elements(self, j, meter=None):
+            read.append(j)
+            return super().set_elements(j, meter)
+
+    assert retention_scan(Logged(3, 1, [(1,), (2,), (3,)]), 0) == ((), (), True)
+    assert read == [1, 2]
 
 
 FAMILY_SOLVERS = [

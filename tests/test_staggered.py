@@ -6,10 +6,12 @@ import pytest
 import oracles
 from romapprox.errors import DomainError
 from romapprox.instances import DigraphInstance, GraphInstance, SetFamilyInstance
+from romapprox.layers import LayeredFamilyView
 from romapprox.meter import with_meter
 from romapprox.staggered import (
     FORBIDDEN_CATALOG,
     EpsSchedule,
+    _FreqStage,
     del_pi_approx,
     forbidden_family,
     hs_bounded_k,
@@ -87,11 +89,15 @@ def test_hs_bounded_frozen():
         hs_bounded_k(f, -1, 1)
 
 
-@pytest.mark.parametrize("space_audit, accesses", [(True, 6187), (False, 231)])
+@pytest.mark.parametrize("space_audit, accesses", [(True, 6187), (False, 93)])
 def test_hs_bounded_meter_pinned(space_audit, accesses):
     # Each round asks only the previous round's survivors, stopping past
     # its cap, and the last round's survivors are the tail: no set is
-    # asked twice in a round, nor again once it is dead.
+    # asked twice in a round, nor again once it is dead.  All six sets
+    # are retained and three peeling stages run (theta 3^1.5, 3, 3^0.5),
+    # the second deleting 1 and 5.  Fast mode: each stage's fill reads
+    # the 6 sets' 18 words once, 3 * 18 = 54 accesses, and the rounds
+    # ask 6, 6 and 1 sets, 13 * 3 = 39; 54 + 39 = 93.
     f = SetFamilyInstance(
         8, 3, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1), (2, 4, 6), (1, 5, 8)]
     )
@@ -100,6 +106,32 @@ def test_hs_bounded_meter_pinned(space_audit, accesses):
     )
     assert got == [1, 5, 2, 4, 6]
     assert astuple(snap) == (48, 0, accesses, 3)
+
+
+def test_fast_peeling_deletions_match_check():
+    # Every fast peeling stage deletes exactly the live elements its
+    # audited check deletes, ascending: duplicate sets count once each,
+    # and elements in no set (ids above the sets' range) never go.
+    rng = oracles.make_rng("fast-peeling")
+    deleted = 0
+    for _ in range(120):
+        d = rng.randint(1, 5)
+        used = rng.randint(d, 9)
+        sets = oracles.random_family(rng, used, rng.randint(0, 16), d)
+        sets += [rng.choice(sets)[::-1] for _ in range(rng.randint(0, 3) if sets else 0)]
+        rng.shuffle(sets)
+        f = SetFamilyInstance(used + rng.randint(0, 3), d, sets)
+        thetas = [rng.choice([1, 1.5, 2, 3, 3 ** 0.5, 4]) for _ in range(rng.randint(1, 4))]
+        stages = [_FreqStage(j, theta) for j, theta in enumerate(thetas, start=1)]
+        view = LayeredFamilyView(f, stages, memoized=True)
+        for i, stage in enumerate(stages, start=1):
+            level = view.level(i - 1)
+            want = [e for e in level.live_ids() if stage.check(level, e)]
+            assert stage.deletions(level) == want
+            # filling stage i moves live_ids() to the level above
+            assert list(view.stage_deletions(i)) == want
+            deleted += len(want)
+    assert deleted
 
 
 def test_hs_bounded_random():
