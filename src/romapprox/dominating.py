@@ -32,7 +32,7 @@ def c4free_ds_bounded_k(g, k, meter=None):
     Parameters
     ----------
     g : GraphInstance
-        Free of 4-cycle subgraphs (see has_c4; not checked here).
+        Free of 4-cycle subgraphs (see find_c4; not checked here).
     k : int
         Candidate budget, at least 0.
 

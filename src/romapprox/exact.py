@@ -171,10 +171,6 @@ def find_c4(g):
     return (a, common[0], c, common[1])
 
 
-def has_c4(g):
-    return find_c4(g) is not None
-
-
 def degeneracy_order(g):
     """Smallest-last peel order and the degeneracy it certifies.
 

@@ -24,7 +24,10 @@ Brent's cycle finder, O(mu + lambda) out-steps for a tail of mu and a
 cycle of lambda, plus one lap of the cycle.  A vertex off the cycle
 (every vertex of a sink component included) has no cycle vertex in its
 subtree, so neither deletion changes its answer: it is its own subtree
-cover, and only cycle vertices size the two leftover forests.
+cover.  Only the cycle, a path from the deleted vertex's successor,
+tells the two forests apart, and both styles walk it once per deletion:
+a cycle vertex is taken when its predecessor is not, else when one of
+its other children is out of its own subtree cover.
 
 Two execution styles share the logic: a fast path that decides each id
 once in a leaves-first pass (an id is decided when all of its children
@@ -52,11 +55,13 @@ from .meter import coerce_meter
 # A component query holds the queried vertex and, while it finds the
 # representative, Brent's four words (tortoise, hare, power, lam); the
 # cycle lap reuses them as cursor, stop vertex and minimum and adds the
-# on-cycle flag: 6 words.  A cycle vertex then holds the representative,
-# its successor and two counters, the child being swept, the sweep's
-# (cursor, parent, grandparent) and the inner walk's (cursor, parent,
-# grandparent, verdict): 13 words, the peak, inside the 16 charged here
-# and the 24- and 28-word stage frames that run it in ``layered.py``.
+# on-cycle flag: 6 words.  A cycle vertex then holds the representative
+# and the first lap's count and verdict for the queried vertex; a lap
+# holds its banned vertex, cursor, previous vertex, taken flag, count
+# and verdict, the child being checked, and that child's subtree walk
+# (cursor, parent, grandparent, verdict): 15 words, the peak, inside the
+# 16 charged here and the 24- and 28-word stage frames that run it in
+# ``layered.py``.
 MACHINE_WORDS = 8
 COMPONENT_WORDS = 16
 
@@ -173,27 +178,6 @@ class FunctionalView:
         return iter(self.digraph.in_neighbors(v, self.meter))
 
 
-class MaskedView:
-    """A directed view with one vertex deleted (its arcs vanish with it)."""
-
-    __slots__ = ("inner", "banned")
-
-    undirected = False
-
-    def __init__(self, inner, banned):
-        self.inner = inner
-        self.banned = banned
-
-    def out(self, v):
-        w = self.inner.out(v)
-        return None if w == self.banned else w
-
-    def children(self, v, parent=None):
-        for w in self.inner.children(v):
-            if w != self.banned:
-                yield w
-
-
 # The shared walk holds (cursor, parent, grandparent).  Descents and
 # sibling steps derive the next triple from the held one; a climb asks
 # the view for one ancestor.  Directed views ignore the parent handed to
@@ -269,21 +253,6 @@ def subtree_cover_member(view, v):
     return verdict
 
 
-def tree_vertices(view, root):
-    """Every vertex of root's tree exactly once, in post-order, holding
-    the same words as :func:`subtree_cover_member`."""
-    view, parent = _start(view, root)
-    cur, parent, grandparent = _descend(view, root, parent, None)
-    yield cur
-    while cur != root:
-        s = _next_sibling(view, cur, parent, grandparent)
-        if s is not None:
-            cur, parent, grandparent = _descend(view, s, parent, grandparent)
-        else:
-            cur, parent, grandparent = _climb(view, root, parent, grandparent)
-        yield cur
-
-
 def _component_rep(out, v):
     """(representative, on_cycle) for v's component under the successor
     function ``out``: the sink v drains to and False, or the minimum-id
@@ -320,15 +289,28 @@ def _component_rep(out, v):
     return best, on_cycle
 
 
-def _masked_cover_size(view, banned):
-    """Cover size for the component when ``banned`` is taken and deleted."""
-    masked = MaskedView(view, banned)
-    total = 1
-    for s in view.children(banned):
-        for x in tree_vertices(masked, s):
-            if subtree_cover_member(masked, x):
-                total += 1
-    return total
+def _cycle_cover(view, banned, v):
+    """(cycle vertices taken, v taken) in the component's cover once
+    ``banned``, a cycle vertex, is taken and deleted.
+
+    The cycle becomes a path that starts at banned's successor, and
+    every vertex off it keeps its own subtree cover, so one lap decides
+    the cycle, the recurrence :func:`fast_cover_members` walks: a cycle
+    vertex is taken when the previous one is not, else when some child
+    other than the previous one is out of its own subtree cover.
+    """
+    count, hit = 1, v == banned
+    prev, taken = banned, True  # the banned child's arc is gone
+    x = view.out(banned)
+    while x != banned:
+        taken = not taken or any(
+            c != prev and not subtree_cover_member(view, c) for c in view.children(x)
+        )
+        count += taken
+        if x == v:
+            hit = taken
+        prev, x = x, view.out(x)
+    return count, hit
 
 
 def component_cover_member(view, v):
@@ -337,18 +319,16 @@ def component_cover_member(view, v):
     Off the cycle (every vertex of a sink component included) the answer
     is v's own subtree cover: v's children are off the cycle too, so its
     subtree holds neither banning candidate and either ban leaves it as
-    it is.  Only a cycle vertex pays for the two masked cover sweeps.
+    it is.  For the same reason the off-cycle vertices count alike under
+    both bans, so a cycle vertex walks the cycle once per ban and keeps
+    the ban that takes fewer cycle vertices, u's on a tie.
     """
     u, on_cycle = _component_rep(view.out, v)
     if not on_cycle:
         return subtree_cover_member(view, v)
-    w = view.out(u)
-    size_u = _masked_cover_size(view, u)
-    size_w = _masked_cover_size(view, w)
-    banned = u if size_u <= size_w else w
-    if v == banned:
-        return True
-    return subtree_cover_member(MaskedView(view, banned), v)
+    size_u, in_u = _cycle_cover(view, u, v)
+    size_w, in_w = _cycle_cover(view, view.out(u), v)
+    return in_u if size_u <= size_w else in_w
 
 
 # ---------------------------------------------------------------- fast path

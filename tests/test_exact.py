@@ -12,7 +12,6 @@ from romapprox.exact import (
     degeneracy_order,
     exact_opt,
     find_c4,
-    has_c4,
     validate,
 )
 from romapprox.instances import DigraphInstance, GraphInstance, SetFamilyInstance
@@ -160,11 +159,11 @@ def test_degeneracy_frozen_values():
 
 
 def test_has_c4():
-    assert has_c4(cycle(4))
-    assert has_c4(complete(4))
-    assert not has_c4(complete(3))
-    assert not has_c4(cycle(5))
-    assert has_c4(PETERSEN) is False
+    assert find_c4(cycle(4)) is not None
+    assert find_c4(complete(4)) is not None
+    assert find_c4(complete(3)) is None
+    assert find_c4(cycle(5)) is None
+    assert find_c4(PETERSEN) is None
 
 
 def test_find_c4_matches_pair_scan_oracle():
@@ -247,7 +246,7 @@ def test_ds_and_degeneracy_oracle_agreement(g):
     _, size = exact_opt(ProblemKind.DS, g)
     assert size == oracles.min_dominating_size(g.n, g.edges)
     assert degeneracy(g) == oracles.degeneracy_value(g.n, g.edges)
-    assert has_c4(g) == oracles.has_c4_subgraph(g.n, g.edges)
+    assert (find_c4(g) is not None) == oracles.has_c4_subgraph(g.n, g.edges)
 
 
 @settings(max_examples=40, deadline=None)

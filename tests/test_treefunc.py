@@ -11,7 +11,6 @@ from romapprox import treefunc
 from romapprox.treefunc import (
     MACHINE_WORDS,
     FunctionalView,
-    RootedTreeView,
     _component_rep,
     component_cover_member,
     euler_tour,
@@ -20,7 +19,6 @@ from romapprox.treefunc import (
     functional_min_vc,
     tree_max_is,
     tree_min_vc,
-    tree_vertices,
 )
 
 
@@ -198,17 +196,6 @@ def test_metered_tree_matches_fast_on_all_seven_vertex_trees():
     _modes_agree_on_labelled_trees(7)
 
 
-def test_tree_vertices_enumerates_once():
-    rng = oracles.make_rng(9)
-    for _ in range(25):
-        n = rng.randint(1, 12)
-        t = GraphInstance(n, oracles.random_tree_edges(rng, n))
-        root = rng.randint(1, n)
-        view = RootedTreeView(t, root, meter=WorkspaceMeter())
-        seen = list(tree_vertices(view, root))
-        assert sorted(seen) == list(range(1, n + 1))
-
-
 def test_tree_metered_matches_fast_and_oracle():
     rng = oracles.make_rng(21)
     for _ in range(60):
@@ -370,13 +357,13 @@ def test_component_rep_steps_follow_tail_and_cycle_not_n():
 
 def test_off_cycle_queries_skip_the_banned_cover_sweeps(monkeypatch):
     swept = []
-    sweep = treefunc._masked_cover_size
+    walk = treefunc._cycle_cover
 
-    def spy(view, banned):
+    def spy(view, banned, v):
         swept.append(banned)
-        return sweep(view, banned)
+        return walk(view, banned, v)
 
-    monkeypatch.setattr(treefunc, "_masked_cover_size", spy)
+    monkeypatch.setattr(treefunc, "_cycle_cover", spy)
     rng = oracles.make_rng("off-cycle")
     for _ in range(80):
         n = rng.randint(1, 12)
@@ -388,6 +375,22 @@ def test_off_cycle_queries_skip_the_banned_cover_sweeps(monkeypatch):
             assert component_cover_member(view, v) == fast[v]
             on_cycle = oracles.functional_rep(arcs, v)[1]
             assert len(swept) == (2 if on_cycle else 0)
+
+
+def test_metered_plain_cycle_reads_six_n_squared():
+    # A query on a bare n-cycle, n a power of two, reads 3n - 1 out
+    # words to find the minimum u, one for u's successor, and per ban a
+    # lap of n out words plus the in words of the n / 2 vertices whose
+    # predecessor is taken: 6n, so the stream reads 6n^2, quadratic in
+    # the cycle length.
+    for n in (32, 64, 128):
+        d = rho(n, 0, n)
+        got, snap = with_meter(
+            lambda meter: list(functional_min_vc(d, meter=meter, metered=True))
+        )
+        assert got == list(functional_min_vc(d))
+        assert snap.charged_peak == 16
+        assert snap.input_accesses == 6 * n * n
 
 
 def test_functional_rejects_branching():
