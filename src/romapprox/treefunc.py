@@ -38,9 +38,14 @@ the subtree and re-deriving structure from the read-only input.  The
 walk holds its cursor's parent and grandparent, so descents and sibling
 steps ask the view for nothing; only a climb asks for one more ancestor.
 On a tree that ancestor comes from replaying the Euler tour of the
-queried vertex v's branch (v's subtree, v's parent masked), so a query
-costs one whole-tree replay plus at most one branch replay per vertex
-it climbs to: O(n + s_v^2) tour steps for a subtree of s_v vertices.
+queried vertex v's branch (v's subtree, v's parent masked).  v's parent
+itself comes from a race of v's branches, each with v masked, under
+doubling step budgets: the branch that meets the root, or the one left
+unfinished when all the others end, is the parent, so a leaf reads only
+its own list.  A whole-tree replay runs alongside the race and bounds
+it, so a query costs at most O(n) tour steps for the parent plus one
+branch replay per vertex it climbs to: O(n + s_v^2) tour steps for a
+subtree of s_v vertices.
 """
 
 from .errors import DomainError
@@ -49,21 +54,32 @@ from .instances import DigraphInstance, GraphInstance
 from .meter import coerce_meter
 
 # Charged-word frames for the metered walks.  A tree membership query
-# holds the queried vertex and its parent (the replay mask), the walk
-# cursor with its parent and grandparent, the verdict, and one (vertex,
-# slot) pair that the branch replay and the sibling scan take in turn.
+# first finds the queried vertex v's parent: the race holds v, the
+# budget b, one step counter that every tour of a round shares, the
+# whole-tree replay's (cursor, arrival), the neighbor slot, the branch
+# tour's (cursor, arrival), the first unfinished neighbor and a flag for
+# a second one: 10 words, the peak, independent of n.  The walk then
+# holds v and its parent (the replay mask), the cursor with its parent
+# and grandparent, the verdict, and one (vertex, slot) pair that the
+# branch replay and the sibling scan take in turn: 8 words.
 # A component query holds the queried vertex and, while it finds the
 # representative, Brent's four words (tortoise, hare, power, lam); the
 # cycle lap reuses them as cursor, stop vertex and minimum and adds the
-# on-cycle flag: 6 words.  A cycle vertex then holds the representative
-# and the first lap's count and verdict for the queried vertex; a lap
+# on-cycle flag: 6 words.  A cycle vertex then walks two laps.  A lap
 # holds its banned vertex, cursor, previous vertex, taken flag, count
 # and verdict, the child being checked, and that child's subtree walk
-# (cursor, parent, grandparent, verdict): 15 words, the peak, inside the
-# 16 charged here and the 24- and 28-word stage frames that run it in
+# (cursor, parent, grandparent, verdict): 11 words.  The first lap, which
+# bans the representative, also holds the successor it read first; the
+# second bans that successor and holds the first lap's count and verdict.
+# With the queried vertex that is 14 words, the peak, inside the 16
+# charged here and the 24- and 28-word stage frames that run it in
 # ``layered.py``.
-MACHINE_WORDS = 8
+MACHINE_WORDS = 10
 COMPONENT_WORDS = 16
+# Whole-tree replay steps per race step and neighbor in a parent search.
+# It caps the search at about (1 + 1 / REPLAY_PACE) times the replay
+# alone, which a path needs; a leaf or a bushy vertex settles by the race.
+REPLAY_PACE = 4
 
 
 def euler_tour(tree, root, meter=None, masked=None):
@@ -92,34 +108,103 @@ def euler_tour(tree, root, meter=None, masked=None):
     if not 1 <= root <= tree.n:
         raise DomainError(f"root {root} out of range 1..{tree.n}")
     meter = coerce_meter(meter)
-    neighbors = tree.neighbors
-    around = neighbors(root)
-    meter.access(2 if masked is not None and len(around) == 1 else 1)
-    done = all(w == masked for w in around)
+    done = _tour_empty(tree, meter, root, masked)
     cur = root
     arrival = 0
     while not done:
-        out = neighbors(cur)
-        nxt = out[arrival % len(out)]
-        probes = 2
-        if nxt == masked:
-            nxt = out[(arrival + 1) % len(out)]
-            probes = 3
-        back = neighbors(nxt)
-        arrival = back.index(cur) + 1
-        meter.charge_primitive()
-        if nxt == root:
-            rest = len(back) - arrival
-            if rest == 1 and masked is not None:
-                meter.access(probes + 2 + arrival)
-                done = back[-1] == masked
-            else:
-                meter.access(probes + 1 + arrival)
-                done = rest == 0
-        else:
-            meter.access(probes + arrival)
+        nxt, arrival, done = _tour_step(tree, meter, root, masked, cur, arrival)
         yield cur, nxt
         cur = nxt
+
+
+def _tour_empty(tree, meter, root, masked):
+    """Does the tour from root have no step?  Probed as :func:`euler_tour`
+    says."""
+    around = tree.neighbors(root)
+    meter.access(2 if masked is not None and len(around) == 1 else 1)
+    return all(w == masked for w in around)
+
+
+def _tour_step(tree, meter, root, masked, cur, arrival):
+    """One step of :func:`euler_tour` from ``cur`` entered by slot
+    ``arrival``: (next vertex, its arrival index, whether the tour has
+    ended), with the step's probes charged."""
+    neighbors = tree.neighbors
+    out = neighbors(cur)
+    nxt = out[arrival % len(out)]
+    probes = 2
+    if nxt == masked:
+        nxt = out[(arrival + 1) % len(out)]
+        probes = 3
+    back = neighbors(nxt)
+    arrival = back.index(cur) + 1
+    meter.charge_primitive()
+    if nxt != root:
+        meter.access(probes + arrival)
+        return nxt, arrival, False
+    rest = len(back) - arrival
+    if rest == 1 and masked is not None:
+        meter.access(probes + 2 + arrival)
+        return nxt, arrival, back[-1] == masked
+    meter.access(probes + 1 + arrival)
+    return nxt, arrival, rest == 0
+
+
+def _branch_race(tree, meter, w, v, root, budget):
+    """Replay w's branch, v masked, for at most ``budget`` steps: True
+    once it meets ``root``, False when it ends first, None when it runs
+    out of budget."""
+    if _tour_empty(tree, meter, w, v):
+        return False
+    cur, arrival = w, 0
+    for _ in range(budget):
+        cur, arrival, done = _tour_step(tree, meter, w, v, cur, arrival)
+        if cur == root:
+            return True
+        if done:
+            return False
+    return None
+
+
+def _race_parent(tree, meter, root, v):
+    """v's parent in the tree rooted at ``root``, v != root: the one
+    neighbor whose branch, v masked, holds the root.
+
+    Rounds double a budget b from 1.  Each round reads v's list and
+    replays every neighbor's branch for at most b steps; a neighbor that
+    is the root, or whose branch meets it, is the parent, and so is the
+    one branch left unfinished when every other one ends.  The last
+    neighbor is not replayed when all the others have ended, so a leaf
+    costs one read of its list.  A whole-tree replay runs alongside,
+    ``REPLAY_PACE * deg(v) * b`` steps a round from where the last round
+    left it, and answers when it first arrives at v: the search costs at
+    most about (1 + 1 / REPLAY_PACE) times that replay alone.
+    """
+    replay = euler_tour(tree, root, meter)
+    budget = 1
+    while True:
+        around = tree.neighbors(v, meter)
+        first, second = None, False
+        for slot, w in enumerate(around, 1):
+            if w == root or first is None and slot == len(around):
+                return w
+            raced = _branch_race(tree, meter, w, v, root, budget)
+            if raced:
+                return w
+            if raced is None:
+                if first is None:
+                    first = w
+                else:
+                    second = True
+        if not second:
+            return first
+        for _ in range(REPLAY_PACE * len(around) * budget):
+            frm, to = next(replay, (None, None))
+            if to == v:
+                return frm
+            if to is None:
+                raise DomainError(f"vertex {v} not reached from root {root}")
+        budget *= 2
 
 
 class RootedTreeView:
@@ -128,10 +213,12 @@ class RootedTreeView:
 
     The branch is the whole tree when ``mask`` is None, else root's
     component once ``mask``, root's parent in an enclosing view, is
-    deleted; ``out(root)`` is ``mask``.  No parent pointers are kept:
-    ``out(v)`` replays the branch's Euler tour until it first arrives at
-    v, which costs time but only cursor state, and ``children`` reads
-    v's list without a replay, given v's parent.
+    deleted; ``out(root)`` is ``mask``.  No parent pointers are kept.
+    On the whole tree ``out(v)`` races v's branches against a replay of
+    the tour (:func:`_race_parent`); on a branch it replays the branch's
+    tour until it first arrives at v.  Both cost time but only cursor
+    state.  ``children`` reads v's list without a replay, given v's
+    parent.
     """
 
     undirected = True
@@ -145,6 +232,8 @@ class RootedTreeView:
     def out(self, v):
         if v == self.root:
             return self.mask
+        if self.mask is None:
+            return _race_parent(self.tree, self.meter, self.root, v)
         for frm, to in euler_tour(self.tree, self.root, self.meter, self.mask):
             if to == v:
                 return frm
@@ -156,8 +245,8 @@ class RootedTreeView:
                 yield w
 
     def branch(self, v):
-        """The view of v's subtree with v's parent masked, found by one
-        replay of this view's tour."""
+        """The view of v's subtree with v's parent masked, its parent
+        found by :meth:`out`."""
         return RootedTreeView(self.tree, v, self.meter, self.out(v))
 
 
@@ -290,8 +379,9 @@ def _component_rep(out, v):
 
 
 def _cycle_cover(view, banned, v):
-    """(cycle vertices taken, v taken) in the component's cover once
-    ``banned``, a cycle vertex, is taken and deleted.
+    """(cycle vertices taken, v taken, banned's successor) in the
+    component's cover once ``banned``, a cycle vertex, is taken and
+    deleted; the successor is the lap's first read.
 
     The cycle becomes a path that starts at banned's successor, and
     every vertex off it keeps its own subtree cover, so one lap decides
@@ -301,7 +391,7 @@ def _cycle_cover(view, banned, v):
     """
     count, hit = 1, v == banned
     prev, taken = banned, True  # the banned child's arc is gone
-    x = view.out(banned)
+    x = first = view.out(banned)
     while x != banned:
         taken = not taken or any(
             c != prev and not subtree_cover_member(view, c) for c in view.children(x)
@@ -310,7 +400,7 @@ def _cycle_cover(view, banned, v):
         if x == v:
             hit = taken
         prev, x = x, view.out(x)
-    return count, hit
+    return count, hit, first
 
 
 def component_cover_member(view, v):
@@ -326,8 +416,8 @@ def component_cover_member(view, v):
     u, on_cycle = _component_rep(view.out, v)
     if not on_cycle:
         return subtree_cover_member(view, v)
-    size_u, in_u = _cycle_cover(view, u, v)
-    size_w, in_w = _cycle_cover(view, view.out(u), v)
+    size_u, in_u, w = _cycle_cover(view, u, v)
+    size_w, in_w, _ = _cycle_cover(view, w, v)
     return in_u if size_u <= size_w else in_w
 
 
@@ -442,13 +532,15 @@ def tree_min_vc(tree, meter=None, metered=False):
     whole tree in one search and one reverse pass.
 
     The metered mode answers each vertex v by a subtree walk in
-    ``MACHINE_WORDS`` charged words.  One replay of the whole tree's
-    Euler tour finds v's parent; the walk then holds its cursor's parent
-    and grandparent, and each climb to a vertex below v's children finds
-    the next grandparent by replaying v's branch only.  A query costs
+    ``MACHINE_WORDS`` charged words.  A race of v's branches against a
+    replay of the whole tree's Euler tour finds v's parent: one read of
+    v's list for a leaf, at most about 1 + 1 / ``REPLAY_PACE`` whole-tree
+    replays for any vertex.  The walk then holds its cursor's parent and
+    grandparent, and each climb to a vertex below v's children finds the
+    next grandparent by replaying v's branch only.  A query costs
     O(n + s_v^2) tour steps, s_v being v's subtree size, so the stream
-    costs O(n^2 + sum of s_v^2): about n^2 on a random tree, still cubic
-    on a path rooted at one end.  The structure check that rejects
+    costs O(n^2 + sum of s_v^2): at most about n^2 on a random tree,
+    still cubic on a path rooted at one end.  The structure check that rejects
     non-trees runs before the audited region and is not charged.
     """
     yield from _tree_stream(tree, meter, metered, True)

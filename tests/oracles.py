@@ -196,6 +196,25 @@ def tree_tau_dp(n, edges, root=1):
     return min(inc[root], exc[root])
 
 
+def bfs_parents(n, edges, root=1):
+    """Each vertex's parent in the tree rooted at ``root`` (None there),
+    indexed by id, from a breadth-first search."""
+    nbr = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    parent = [None] * (n + 1)
+    seen = {root}
+    order = [root]
+    for v in order:
+        for w in nbr[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
 def euler_tour(n, edges, root, masked=None):
     """Replay a tree's closed Euler tour probe by probe.
 

@@ -11,6 +11,7 @@ from romapprox import treefunc
 from romapprox.treefunc import (
     MACHINE_WORDS,
     FunctionalView,
+    RootedTreeView,
     _component_rep,
     component_cover_member,
     euler_tour,
@@ -149,9 +150,10 @@ def test_euler_tour_matches_probe_oracle_on_stars():
 
 
 def test_metered_tree_meter_counts_pinned():
-    # Pinned to the walk that holds its parent and grandparent and
-    # replays only the queried vertex's branch; every replay also pays
-    # for the root-degree probe that tells whether its tour is empty.
+    # Pinned to the walk that finds the queried vertex's parent by racing
+    # its branches, holds its parent and grandparent and replays only the
+    # queried vertex's branch; every replay also pays for the root-degree
+    # probe that tells whether its tour is empty.
     caterpillar = GraphInstance(
         9, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (3, 8), (5, 9)]
     )
@@ -160,7 +162,7 @@ def test_metered_tree_meter_counts_pinned():
             lambda meter: list(solve(caterpillar, meter=meter, metered=True))
         )
         assert got == want
-        assert astuple(snap) == (8, 59, 274, 1)
+        assert astuple(snap) == (MACHINE_WORDS, 17, 160, 1)
 
 
 def test_metered_tree_scale_ladder():
@@ -173,7 +175,63 @@ def test_metered_tree_scale_ladder():
         )
         assert got == list(tree_min_vc(t))
     assert snaps[32].charged_peak == snaps[128].charged_peak == MACHINE_WORDS
-    assert snaps[128].input_accesses == 58495
+    assert snaps[128].input_accesses == 22586
+
+
+def tree_shapes(n):
+    """Edge lists of five shapes on n vertices, n even, rooted at 1."""
+    half = n // 2
+    return {
+        "star centred on 2": [(2, v) for v in range(1, n + 1) if v != 2],
+        "complete binary": [(v // 2, v) for v in range(2, n + 1)],
+        "caterpillar": [(v, v + 1) for v in range(1, half)]
+        + [(v, half + v) for v in range(1, half + 1)],
+        "path from its end": [(v, v + 1) for v in range(1, n)],
+        "path from a pendant": [(v, v + 1) for v in range(2, n)] + [(1, half)],
+    }
+
+
+def test_metered_tree_shape_ladder():
+    # The parent search settles a leaf by one read of its list, and a
+    # bushy vertex by racing its short branches; on a path the whole-tree
+    # replay answers and the race adds at most about 1 / REPLAY_PACE.
+    pinned = {
+        64: [317, 2812, 22334, 140303, 66673],
+        128: [637, 12535, 154608, 1084257, 423395],
+    }
+    for n, want in pinned.items():
+        got = {}
+        for shape, edges in tree_shapes(n).items():
+            t = GraphInstance(n, edges)
+            stream, snap = with_meter(
+                lambda meter: list(tree_min_vc(t, meter=meter, metered=True))
+            )
+            assert stream == list(tree_min_vc(t)), shape
+            assert snap.charged_peak == MACHINE_WORDS, shape
+            got[shape] = snap.input_accesses
+        assert got["star centred on 2"] <= 6 * n
+        assert list(got.values()) == want
+
+
+def _ancestor(parent, v, x):
+    while x is not None and x != v:
+        x = parent[x]
+    return x == v
+
+
+def test_tree_view_out_is_the_bfs_parent_on_all_small_trees():
+    for n in range(1, 7):
+        for edges in labelled_trees(n):
+            t = GraphInstance(n, edges)
+            parent = oracles.bfs_parents(n, edges)
+            view = RootedTreeView(t, 1)
+            assert [view.out(x) for x in range(1, n + 1)] == parent[1:]
+            for v in range(2, n + 1):
+                branch = view.branch(v)
+                assert branch.mask == parent[v]
+                below = {x for x in range(1, n + 1) if _ancestor(parent, v, x)}
+                for x in below:
+                    assert branch.out(x) == parent[x]
 
 
 def _modes_agree_on_labelled_trees(n):
@@ -377,12 +435,12 @@ def test_off_cycle_queries_skip_the_banned_cover_sweeps(monkeypatch):
             assert len(swept) == (2 if on_cycle else 0)
 
 
-def test_metered_plain_cycle_reads_six_n_squared():
+def test_metered_plain_cycle_reads_six_n_squared_less_n():
     # A query on a bare n-cycle, n a power of two, reads 3n - 1 out
-    # words to find the minimum u, one for u's successor, and per ban a
-    # lap of n out words plus the in words of the n / 2 vertices whose
-    # predecessor is taken: 6n, so the stream reads 6n^2, quadratic in
-    # the cycle length.
+    # words to find the minimum u, and per ban a lap of n out words plus
+    # the in words of the n / 2 vertices whose predecessor is taken; u's
+    # lap reads u's successor, the second ban, first: 6n - 1, so the
+    # stream reads 6n^2 - n, quadratic in the cycle length.
     for n in (32, 64, 128):
         d = rho(n, 0, n)
         got, snap = with_meter(
@@ -390,7 +448,7 @@ def test_metered_plain_cycle_reads_six_n_squared():
         )
         assert got == list(functional_min_vc(d))
         assert snap.charged_peak == 16
-        assert snap.input_accesses == 6 * n * n
+        assert snap.input_accesses == 6 * n * n - n
 
 
 def test_functional_rejects_branching():
