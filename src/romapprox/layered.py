@@ -27,6 +27,8 @@ d(δ-1), plus its sweep stage.  Chosen sets are pairwise disjoint, so
 each costs at most its d elements against any optimum that must hit it.
 """
 
+from functools import partial
+
 from .instances import GraphInstance, SetFamilyInstance, require_instance
 from .layers import (
     LayeredFamilyView,
@@ -248,6 +250,14 @@ def bd_maximal_is(g, meter=None, space_audit=False):
     only the kept vertices are emitted.  Every vertex dies in exactly
     one stage, at that point either kept or base-adjacent to a kept
     vertex, so the union is independent and maximal in the input graph.
+
+    An audited solve can exceed the ``(depth+1) * WORDS_PER_LEVEL``
+    frame bound of ``layers.py``: ``_IndepStage._kept`` recurses, one
+    ``KEPT_FRAME_WORDS`` frame and one interpreter frame a level, down
+    each descending chain of smaller live candidates.  On the k-tooth
+    comb (tooth j on spine vertex k + j, the spine k + 1 .. 2k a path)
+    the peak is 84 + 4k words against 160, nesting k + 1 deep, so a
+    long spine raises ``RecursionError``; ROADMAP item 18 is the fix.
     """
     view = bd_is_view(g, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):
@@ -296,10 +306,12 @@ class _HsStage(StagePredicate):
 
     def _stage_sets(self, level):
         positions = []
+        live = partial(level.view._live, level.i)
         for j in range(1, level.base.m + 1):
-            if not level.set_live(j):
+            members = level.set_elements(j)
+            if not all(map(live, members)):
                 continue
-            for e in level.set_elements(j):
+            for e in members:
                 if level.ith_set_of(e, self.i) == j:
                     positions.append(j)
                     break

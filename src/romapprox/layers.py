@@ -137,9 +137,6 @@ class FamilyLevel(_Level):
     def element_live(self, e):
         return self.view.element_live(self.i, e)
 
-    def set_live(self, j):
-        return self.view.set_live(self.i, j)
-
     def live_set_count_containing(self, e):
         view = self.view
         count = 0

@@ -21,13 +21,13 @@ vertices (the minimum-id cycle vertex and its successor), solving the
 leftover forests, and keeping the smaller answer, ties to the
 minimum-id choice.  A component query finds that representative with
 Brent's cycle finder, O(mu + lambda) out-steps for a tail of mu and a
-cycle of lambda, plus one lap of the cycle.  A vertex off the cycle
-(every vertex of a sink component included) has no cycle vertex in its
-subtree, so neither deletion changes its answer: it is its own subtree
-cover.  Only the cycle, a path from the deleted vertex's successor,
-tells the two forests apart, and both styles walk it once per deletion:
-a cycle vertex is taken when its predecessor is not, else when one of
-its other children is out of its own subtree cover.
+cycle of lambda.  A vertex off the cycle (every vertex of a sink
+component included) has no cycle vertex in its subtree, so neither
+deletion changes its answer: it is its own subtree cover.  Only the
+cycle, a path from the deleted vertex's successor, tells the two
+forests apart, and both styles walk it once per deletion: a cycle
+vertex is taken when its predecessor is not, else when one of its other
+children is out of its own subtree cover.
 
 Two execution styles share the logic: a fast path that decides each id
 once in a leaves-first pass (an id is decided when all of its children
@@ -48,9 +48,11 @@ branch replay per vertex it climbs to: O(n + s_v^2) tour steps for a
 subtree of s_v vertices.
 """
 
+from functools import partial
+
 from .errors import DomainError
 from .exact import StructureKind, validate
-from .instances import DigraphInstance, GraphInstance
+from .instances import GraphInstance
 from .meter import coerce_meter
 
 # Charged-word frames for the metered walks.  A tree membership query
@@ -63,12 +65,12 @@ from .meter import coerce_meter
 # and grandparent, the verdict, and one (vertex, slot) pair that the
 # branch replay and the sibling scan take in turn: 8 words.
 # A component query holds the queried vertex and, while it finds the
-# representative, Brent's four words (tortoise, hare, power, lam); the
-# cycle lap reuses them as cursor, stop vertex and minimum and adds the
-# on-cycle flag: 6 words.  A cycle vertex then walks two laps.  A lap
-# holds its banned vertex, cursor, previous vertex, taken flag, count
-# and verdict, the child being checked, and that child's subtree walk
-# (cursor, parent, grandparent, verdict): 11 words.  The first lap, which
+# representative, Brent's four words (tortoise, hare, power, lam) and the
+# minimum and on-cycle flag of the hare's steps since the tortoise last
+# jumped: 7 words.  A cycle vertex then walks two laps.  A lap holds its
+# banned vertex, cursor, previous vertex, taken flag, count and verdict,
+# the child being checked, and that child's subtree walk (cursor,
+# parent, grandparent, verdict): 11 words.  The first lap, which
 # bans the representative, also holds the successor it read first; the
 # second bans that successor and holds the first lap's count and verdict.
 # With the queried vertex that is 14 words, the peak, inside the 16
@@ -351,31 +353,30 @@ def _component_rep(out, v):
     the tortoise jumps to the hare whenever lam, the hare's steps since
     the last jump, reaches power, which then doubles; the hare meets the
     tortoise once the tortoise is on the cycle and power is at least the
-    cycle length, after O(tail + cycle) steps.  One more lap from the
-    meeting vertex finds the cycle's minimum and whether v is on it.
+    cycle length, after O(tail + cycle) steps.  Two more words hold the
+    minimum of the hare's vertices since the last jump and whether v is
+    among them, both reset at each jump: when the hare meets the
+    tortoise those steps are exactly one lap of the cycle.
     """
-    tortoise = hare = v
+    tortoise = hare = best = v
+    on_cycle = True
     power = lam = 1
     while True:
         nxt = out(hare)
         if nxt is None:
             return hare, False
         hare = nxt
+        if hare < best:
+            best = hare
+        on_cycle = on_cycle or hare == v
         if hare == tortoise:
-            break
+            return best, on_cycle
         if lam == power:
-            tortoise = hare
+            tortoise = best = hare
+            on_cycle = hare == v
             power *= 2
             lam = 0
         lam += 1
-    best, on_cycle = hare, hare == v
-    cur = out(hare)
-    while cur != hare:
-        if cur < best:
-            best = cur
-        on_cycle = on_cycle or cur == v
-        cur = out(cur)
-    return best, on_cycle
 
 
 def _cycle_cover(view, banned, v):
@@ -502,26 +503,28 @@ def _tree_cover_flags(tree):
     return taken
 
 
+def _cover_stream(meter, want, flags, words):
+    """Ids 1, 2, ... whose membership flag in ``flags`` equals ``want``,
+    in one pass holding ``words`` charged words."""
+    meter.tick_pass()
+    meter.alloc(words)
+    try:
+        for v, taken in enumerate(flags, 1):
+            if taken == want:
+                yield v
+    finally:
+        meter.release(words)
+
+
 def _tree_stream(tree, meter, metered, want):
     """Ascending ids whose canonical cover membership equals ``want``."""
     meter = coerce_meter(meter)
     if metered:
         _require_tree(tree)
         view = RootedTreeView(tree, 1, meter=meter)
-        meter.tick_pass()
-        meter.alloc(MACHINE_WORDS)
-        try:
-            for v in range(1, tree.n + 1):
-                if subtree_cover_member(view, v) == want:
-                    yield v
-        finally:
-            meter.release(MACHINE_WORDS)
-    else:
-        taken = _tree_cover_flags(tree)
-        meter.tick_pass()
-        for v in range(1, tree.n + 1):
-            if taken[v] == want:
-                yield v
+        flags = map(partial(subtree_cover_member, view), range(1, tree.n + 1))
+        return _cover_stream(meter, want, flags, MACHINE_WORDS)
+    return _cover_stream(meter, want, _tree_cover_flags(tree)[1:], 0)
 
 
 def tree_min_vc(tree, meter=None, metered=False):
@@ -551,33 +554,18 @@ def tree_max_is(tree, meter=None, metered=False):
     yield from _tree_stream(tree, meter, metered, False)
 
 
-def _require_functional(digraph):
-    if not isinstance(digraph, DigraphInstance):
-        raise DomainError("functional operations need a DigraphInstance")
+def _functional_stream(digraph, meter, metered, want):
+    """Ascending ids whose canonical cover membership equals ``want``."""
     ok, witness = validate(StructureKind.FUNCTIONAL, digraph)
     if not ok:
         raise DomainError(f"not functional: {witness}")
-
-
-def _functional_stream(digraph, meter, metered, want):
-    """Ascending ids whose canonical cover membership equals ``want``."""
-    _require_functional(digraph)
-    meter = coerce_meter(meter)
     view = FunctionalView(digraph, meter)
-    meter.tick_pass()
+    ids = range(1, digraph.n + 1)
     if metered:
-        meter.alloc(COMPONENT_WORDS)
-        try:
-            for v in range(1, digraph.n + 1):
-                if component_cover_member(view, v) == want:
-                    yield v
-        finally:
-            meter.release(COMPONENT_WORDS)
-    else:
-        member = fast_cover_members({v: view.out(v) for v in range(1, digraph.n + 1)})
-        for v in range(1, digraph.n + 1):
-            if member[v] == want:
-                yield v
+        flags = map(partial(component_cover_member, view), ids)
+        return _cover_stream(view.meter, want, flags, COMPONENT_WORDS)
+    member = fast_cover_members({v: view.out(v) for v in ids})
+    return _cover_stream(view.meter, want, map(member.__getitem__, ids), 0)
 
 
 def functional_min_vc(digraph, meter=None, metered=False):

@@ -170,6 +170,27 @@ def test_bd_is_modes_agree():
         assert snap.charged_peak <= (bd_is_view(g).depth + 1) * WORDS_PER_LEVEL
 
 
+@pytest.mark.parametrize("k, peak", [(10, 124), (20, 164)])
+def test_audited_bd_is_peak_grows_along_a_comb(k, peak):
+    # Tooth j hangs off spine vertex k + j, and the spine k + 1 .. 2k is
+    # a path: max degree 3, so four stages and a frame bound of
+    # 5 * WORDS_PER_LEVEL = 160 words.  A kept query recurses once per
+    # smaller live candidate neighbour down the spine, one
+    # KEPT_FRAME_WORDS frame a level, so the peak is 84 + 4k and passes
+    # the bound from k = 20 on: the defect bd_maximal_is documents.
+    n = 2 * k
+    edges = [(j, k + j) for j in range(1, k + 1)]
+    edges += [(k + j, k + j + 1) for j in range(1, k)]
+    g = GraphInstance(n, edges)
+    audited, snap = with_meter(
+        lambda meter: list(bd_maximal_is(g, meter=meter, space_audit=True))
+    )
+    assert list(bd_maximal_is(g)) == audited
+    assert oracles.is_maximal_independent(n, edges, audited)
+    assert bd_is_view(g).depth == 4
+    assert snap.charged_peak == peak == 84 + layered.KEPT_FRAME_WORDS * k
+
+
 def test_bd_metered_run_balances():
     g = GraphInstance(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
 
@@ -203,12 +224,12 @@ def test_audited_meter_counts_pinned():
         lambda meter: list(bd_vc_2approx(PETERSEN, meter=meter, space_audit=True))
     )
     assert got == [2, 4, 7, 8, 1, 6, 5]
-    assert astuple(snap) == (72, 0, 8299, 3)
+    assert astuple(snap) == (72, 0, 6021, 3)
     got, snap = with_meter(
         lambda meter: list(bd_maximal_is(PETERSEN, meter=meter, space_audit=True))
     )
     assert got == [1, 3, 9, 10]
-    assert astuple(snap) == (96, 0, 4494, 4)
+    assert astuple(snap) == (96, 0, 4166, 4)
 
 
 def test_audited_bd_vc_accesses_scale_with_components_not_n():
@@ -333,7 +354,7 @@ def test_hs_view_checks():
 
 @pytest.mark.parametrize(
     "k, peak, accesses, passes",
-    [(2, 88, 956, 19), (3, 148, 19_956, 99), (4, 204, 157_004, 390)],
+    [(2, 88, 796, 19), (3, 148, 17_916, 99), (4, 204, 143_756, 390)],
 )
 def test_audited_hs_meter_on_a_sunflower(k, peak, accesses, passes):
     # k sets (1, v) sharing the core element 1: d = 2, delta = k.  Only

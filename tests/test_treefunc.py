@@ -408,7 +408,7 @@ def test_component_rep_steps_follow_tail_and_cycle_not_n():
             for v in range(1, tail + cycle + 1):
                 view.calls = 0
                 assert _component_rep(view.out, v) == (tail + 1, v > tail)
-                assert view.calls <= 2 * max(0, tail + 1 - v) + 4 * cycle
+                assert view.calls <= 2 * max(0, tail + 1 - v) + 3 * cycle
                 calls[n].append(view.calls)
         assert calls[tail + cycle] == calls[1000]
 
@@ -435,12 +435,13 @@ def test_off_cycle_queries_skip_the_banned_cover_sweeps(monkeypatch):
             assert len(swept) == (2 if on_cycle else 0)
 
 
-def test_metered_plain_cycle_reads_six_n_squared_less_n():
-    # A query on a bare n-cycle, n a power of two, reads 3n - 1 out
-    # words to find the minimum u, and per ban a lap of n out words plus
-    # the in words of the n / 2 vertices whose predecessor is taken; u's
-    # lap reads u's successor, the second ban, first: 6n - 1, so the
-    # stream reads 6n^2 - n, quadratic in the cycle length.
+def test_metered_plain_cycle_reads_five_n_squared_less_n():
+    # A query on a bare n-cycle, n a power of two, reads 2n - 1 out
+    # words to find the minimum u, Brent's search alone, and per ban a
+    # lap of n out words plus the in words of the n / 2 vertices whose
+    # predecessor is taken; u's lap reads u's successor, the second ban,
+    # first: 5n - 1, so the stream reads 5n^2 - n, quadratic in the
+    # cycle length.
     for n in (32, 64, 128):
         d = rho(n, 0, n)
         got, snap = with_meter(
@@ -448,7 +449,7 @@ def test_metered_plain_cycle_reads_six_n_squared_less_n():
         )
         assert got == list(functional_min_vc(d))
         assert snap.charged_peak == 16
-        assert snap.input_accesses == 6 * n * n - n
+        assert snap.input_accesses == 5 * n * n - n
 
 
 def test_functional_rejects_branching():
