@@ -45,7 +45,12 @@ unfinished when all the others end, is the parent, so a leaf reads only
 its own list.  A whole-tree replay runs alongside the race and bounds
 it, so a query costs at most O(n) tour steps for the parent plus one
 branch replay per vertex it climbs to: O(n + s_v^2) tour steps for a
-subtree of s_v vertices.
+subtree of s_v vertices.  Every tour, raced, replayed or public, steps
+through one loop (:func:`_tour_run`) that runs until it arrives at a
+target, spends a step budget or ends the tour, and charges the run's
+summed probes and primitive words once, when it stops; the public
+:func:`euler_tour` runs it one step at a time, so its charges land
+before each yielded edge.
 """
 
 from functools import partial
@@ -63,7 +68,11 @@ from .meter import coerce_meter
 # a second one: 10 words, the peak, independent of n.  The walk then
 # holds v and its parent (the replay mask), the cursor with its parent
 # and grandparent, the verdict, and one (vertex, slot) pair that the
-# branch replay and the sibling scan take in turn: 8 words.
+# branch replay and the sibling scan take in turn: 8 words.  A tour run
+# holds its (cursor, arrival) and the list it read last, a reference into
+# the read-only input; its step count is the budget's counter, and the
+# probes and primitive words it sums are the meter's tally, charged when
+# the run stops.
 # A component query holds the queried vertex and, while it finds the
 # representative, Brent's four words (tortoise, hare, power, lam) and the
 # minimum and on-cycle flag of the hare's steps since the tortoise last
@@ -104,8 +113,9 @@ def euler_tour(tree, root, meter=None, masked=None):
     after it when the departure slot holds the masked vertex, each slot
     of the next vertex's list up to the new arrival index, and the root's
     degree whenever it arrives at the root; arriving at the root by its
-    second-to-last slot under a mask also probes the last slot.  All of
-    a step's probes are charged in one call, before its edge is yielded.
+    second-to-last slot under a mask also probes the last slot.  The tour
+    advances by runs of one step (:func:`_tour_run`), so each step's
+    probes and primitive word are charged before its edge is yielded.
     """
     if not 1 <= root <= tree.n:
         raise DomainError(f"root {root} out of range 1..{tree.n}")
@@ -114,9 +124,10 @@ def euler_tour(tree, root, meter=None, masked=None):
     cur = root
     arrival = 0
     while not done:
-        nxt, arrival, done = _tour_step(tree, meter, root, masked, cur, arrival)
-        yield cur, nxt
-        cur = nxt
+        frm, cur, arrival, done = _tour_run(
+            tree, meter, root, masked, cur, arrival, 1, None
+        )
+        yield frm, cur
 
 
 def _tour_empty(tree, meter, root, masked):
@@ -127,29 +138,46 @@ def _tour_empty(tree, meter, root, masked):
     return all(w == masked for w in around)
 
 
-def _tour_step(tree, meter, root, masked, cur, arrival):
-    """One step of :func:`euler_tour` from ``cur`` entered by slot
-    ``arrival``: (next vertex, its arrival index, whether the tour has
-    ended), with the step's probes charged."""
+def _tour_run(tree, meter, root, masked, cur, arrival, budget, target):
+    """Step the tour of :func:`euler_tour` from ``cur``, entered by slot
+    ``arrival``, until it arrives at ``target``, has taken ``budget``
+    steps (None: no limit) or ends: (the last step's departure vertex,
+    its arrival vertex and arrival index, whether the tour has ended).
+
+    The run reads ``cur``'s list once; after that each step reads one
+    list, the next vertex's, and departs from it on the step after.  The
+    steps' probes and primitive words are summed and charged once, when
+    the run stops.
+    """
     neighbors = tree.neighbors
     out = neighbors(cur)
-    nxt = out[arrival % len(out)]
-    probes = 2
-    if nxt == masked:
-        nxt = out[(arrival + 1) % len(out)]
-        probes = 3
-    back = neighbors(nxt)
-    arrival = back.index(cur) + 1
-    meter.charge_primitive()
-    if nxt != root:
-        meter.access(probes + arrival)
-        return nxt, arrival, False
-    rest = len(back) - arrival
-    if rest == 1 and masked is not None:
-        meter.access(probes + 2 + arrival)
-        return nxt, arrival, back[-1] == masked
-    meter.access(probes + 1 + arrival)
-    return nxt, arrival, rest == 0
+    steps = probes = 0
+    done = False
+    while True:
+        steps += 1
+        nxt = out[arrival % len(out)]
+        if nxt == masked:
+            nxt = out[(arrival + 1) % len(out)]
+            probes += 1
+        back = neighbors(nxt)
+        arrival = back.index(cur) + 1
+        probes += 2 + arrival
+        frm, cur, out = cur, nxt, back
+        if cur == root:
+            rest = len(out) - arrival
+            if rest == 1 and masked is not None:
+                probes += 2
+                done = out[-1] == masked
+            else:
+                probes += 1
+                done = rest == 0
+            if done:
+                break
+        if cur == target or steps == budget:
+            break
+    meter.charge_primitive(steps)
+    meter.access(probes)
+    return frm, cur, arrival, done
 
 
 def _branch_race(tree, meter, w, v, root, budget):
@@ -158,14 +186,10 @@ def _branch_race(tree, meter, w, v, root, budget):
     out of budget."""
     if _tour_empty(tree, meter, w, v):
         return False
-    cur, arrival = w, 0
-    for _ in range(budget):
-        cur, arrival, done = _tour_step(tree, meter, w, v, cur, arrival)
-        if cur == root:
-            return True
-        if done:
-            return False
-    return None
+    _, cur, _, done = _tour_run(tree, meter, w, v, w, 0, budget, root)
+    if cur == root:
+        return True
+    return False if done else None
 
 
 def _race_parent(tree, meter, root, v):
@@ -180,9 +204,10 @@ def _race_parent(tree, meter, root, v):
     costs one read of its list.  A whole-tree replay runs alongside,
     ``REPLAY_PACE * deg(v) * b`` steps a round from where the last round
     left it, and answers when it first arrives at v: the search costs at
-    most about (1 + 1 / REPLAY_PACE) times that replay alone.
+    most about (1 + 1 / REPLAY_PACE) times that replay alone.  The
+    replay's root-degree probe is charged when a round first advances it.
     """
-    replay = euler_tour(tree, root, meter)
+    cur, arrival, done = root, 0, None  # done is None until the replay starts
     budget = 1
     while True:
         around = tree.neighbors(v, meter)
@@ -200,12 +225,17 @@ def _race_parent(tree, meter, root, v):
                     second = True
         if not second:
             return first
-        for _ in range(REPLAY_PACE * len(around) * budget):
-            frm, to = next(replay, (None, None))
-            if to == v:
+        if done is None:
+            done = _tour_empty(tree, meter, root, None)
+        if not done:
+            pace = REPLAY_PACE * len(around) * budget
+            frm, cur, arrival, done = _tour_run(
+                tree, meter, root, None, cur, arrival, pace, v
+            )
+            if cur == v:
                 return frm
-            if to is None:
-                raise DomainError(f"vertex {v} not reached from root {root}")
+        if done:
+            raise DomainError(f"vertex {v} not reached from root {root}")
         budget *= 2
 
 
@@ -236,8 +266,11 @@ class RootedTreeView:
             return self.mask
         if self.mask is None:
             return _race_parent(self.tree, self.meter, self.root, v)
-        for frm, to in euler_tour(self.tree, self.root, self.meter, self.mask):
-            if to == v:
+        if not _tour_empty(self.tree, self.meter, self.root, self.mask):
+            frm, cur, _, _ = _tour_run(
+                self.tree, self.meter, self.root, self.mask, self.root, 0, None, v
+            )
+            if cur == v:
                 return frm
         raise DomainError(f"vertex {v} not reached from root {self.root}")
 

@@ -215,7 +215,7 @@ def bfs_parents(n, edges, root=1):
     return parent
 
 
-def euler_tour(n, edges, root, masked=None):
+def euler_tour(n, edges, root, masked=None, stop=None):
     """Replay a tree's closed Euler tour probe by probe.
 
     Each step leaves the current vertex by the slot after the arrival
@@ -234,6 +234,9 @@ def euler_tour(n, edges, root, masked=None):
     holds ``masked``; when exactly one slot is left, reading it is one
     more probe, and so is reading a degree-one root's only slot before
     the first step.  Returns (edges walked, primitive words, probes).
+
+    With ``stop`` given, only the prefix up to the tour's first arrival
+    at ``stop`` is walked and counted.
     """
     nbr = [[] for _ in range(n + 1)]
     for u, v in edges:
@@ -270,6 +273,8 @@ def euler_tour(n, edges, root, masked=None):
                 probes += 1
             if all(w == masked for w in later):
                 return walked, primitive, probes
+        if cur == stop:
+            return walked, primitive, probes
 
 
 def functional_rep(arcs, v):

@@ -232,6 +232,48 @@ def test_tree_view_out_is_the_bfs_parent_on_all_small_trees():
                 below = {x for x in range(1, n + 1) if _ancestor(parent, v, x)}
                 for x in below:
                     assert branch.out(x) == parent[x]
+                # Below v, out(x) replays the branch's tour up to its first
+                # arrival at x and charges exactly that prefix, whose probes
+                # the oracle counts from the empty-tour probe on.
+                for x in below - {v}:
+                    got, snap = with_meter(
+                        lambda meter: RootedTreeView(t, v, meter, branch.mask).out(x)
+                    )
+                    walked, primitive, probes = oracles.euler_tour(
+                        n, edges, v, branch.mask, stop=x
+                    )
+                    assert walked[-1] == (got, x)
+                    assert (snap.primitive_words, snap.input_accesses) == (
+                        primitive,
+                        probes,
+                    )
+
+
+def test_whole_tree_replay_probes_the_root_lazily():
+    # A leaf's parent is settled by one read of its list before the
+    # whole-tree replay starts, so the replay's root-degree probe is
+    # never charged.
+    n = 8
+    star = GraphInstance(n, tree_shapes(n)["star centred on 2"])
+    for leaf in range(3, n + 1):
+        got, snap = with_meter(lambda meter: RootedTreeView(star, 1, meter).out(leaf))
+        assert (got, snap.input_accesses, snap.primitive_words) == (2, 1, 0)
+    # On a path from its end, each x in 4..n-2 leaves both of its
+    # branches unfinished after one step each, and the replay's first
+    # round (REPLAY_PACE * 2 steps) arrives at x.  The race reads x's
+    # list (2 probes) and steps each branch once (1 + 4 probes each);
+    # the replay then charges its prefix up to x, root probe included.
+    n = 10
+    edges = tree_shapes(n)["path from its end"]
+    t = GraphInstance(n, edges)
+    for x in range(4, n - 1):
+        got, snap = with_meter(lambda meter: RootedTreeView(t, 1, meter).out(x))
+        walked, primitive, probes = oracles.euler_tour(n, edges, 1, stop=x)
+        assert got == walked[-1][0] == x - 1
+        assert (snap.primitive_words, snap.input_accesses) == (
+            2 + primitive,
+            12 + probes,
+        )
 
 
 def _modes_agree_on_labelled_trees(n):
