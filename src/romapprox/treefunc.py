@@ -45,11 +45,12 @@ unfinished when all the others end, is the parent, so a leaf reads only
 its own list.  A whole-tree replay runs alongside the race and bounds
 it, so a query costs at most O(n) tour steps for the parent plus one
 branch replay per vertex it climbs to: O(n + s_v^2) tour steps for a
-subtree of s_v vertices.  Every tour, raced, replayed or public, steps
-through one loop (:func:`_tour_run`) that runs until it arrives at a
-target, spends a step budget or ends the tour, and charges the run's
-summed probes and primitive words once, when it stops; the public
-:func:`euler_tour` runs it one step at a time, so its charges land
+subtree of s_v vertices.  Every tour, raced, replayed or public, runs
+through one function (:func:`_tour_run`): a run steps until it arrives
+at a target, spends a step budget or ends the tour, and charges its
+summed probes and primitive words once, when it stops; a tour's first
+run also tells from the root's list whether the tour is empty.  The
+public :func:`euler_tour` runs one step at a time, so its charges land
 before each yielded edge.
 """
 
@@ -71,8 +72,8 @@ from .meter import coerce_meter
 # branch replay and the sibling scan take in turn: 8 words.  A tour run
 # holds its (cursor, arrival) and the list it read last, a reference into
 # the read-only input; its step count is the budget's counter, and the
-# probes and primitive words it sums are the meter's tally, charged when
-# the run stops.
+# probes and primitive words it sums, the first run's emptiness probes
+# included, are the meter's tally, charged when the run stops.
 # A component query holds the queried vertex and, while it finds the
 # representative, Brent's four words (tortoise, hare, power, lam) and the
 # minimum and on-cycle flag of the hare's steps since the tortoise last
@@ -115,27 +116,19 @@ def euler_tour(tree, root, meter=None, masked=None):
     degree whenever it arrives at the root; arriving at the root by its
     second-to-last slot under a mask also probes the last slot.  The tour
     advances by runs of one step (:func:`_tour_run`), so each step's
-    probes and primitive word are charged before its edge is yielded.
+    probes and primitive word, and the first step's emptiness probes, are
+    charged before its edge is yielded.
     """
     if not 1 <= root <= tree.n:
         raise DomainError(f"root {root} out of range 1..{tree.n}")
     meter = coerce_meter(meter)
-    done = _tour_empty(tree, meter, root, masked)
-    cur = root
-    arrival = 0
+    cur, arrival, done = root, 0, False
     while not done:
         frm, cur, arrival, done = _tour_run(
             tree, meter, root, masked, cur, arrival, 1, None
         )
-        yield frm, cur
-
-
-def _tour_empty(tree, meter, root, masked):
-    """Does the tour from root have no step?  Probed as :func:`euler_tour`
-    says."""
-    around = tree.neighbors(root)
-    meter.access(2 if masked is not None and len(around) == 1 else 1)
-    return all(w == masked for w in around)
+        if frm is not None:
+            yield frm, cur
 
 
 def _tour_run(tree, meter, root, masked, cur, arrival, budget, target):
@@ -144,16 +137,22 @@ def _tour_run(tree, meter, root, masked, cur, arrival, budget, target):
     steps (None: no limit) or ends: (the last step's departure vertex,
     its arrival vertex and arrival index, whether the tour has ended).
 
-    The run reads ``cur``'s list once; after that each step reads one
-    list, the next vertex's, and departs from it on the step after.  The
-    steps' probes and primitive words are summed and charged once, when
-    the run stops.
+    A tour's first run, the one with ``arrival`` 0, starts at the root
+    and first probes whether the tour is empty; an empty tour returns
+    (None, root, 0, True) without a step.  The run reads ``cur``'s list
+    once; after that each step reads one list, the next vertex's, and
+    departs from it on the step after.  The run's probes and primitive
+    words are summed and charged once, when it stops.
     """
     neighbors = tree.neighbors
     out = neighbors(cur)
     steps = probes = 0
     done = False
-    while True:
+    if not arrival:
+        probes = 2 if masked is not None and len(out) == 1 else 1
+        done = all(w == masked for w in out)
+    frm = None
+    while not done:
         steps += 1
         nxt = out[arrival % len(out)]
         if nxt == masked:
@@ -171,8 +170,6 @@ def _tour_run(tree, meter, root, masked, cur, arrival, budget, target):
             else:
                 probes += 1
                 done = rest == 0
-            if done:
-                break
         if cur == target or steps == budget:
             break
     meter.charge_primitive(steps)
@@ -180,34 +177,23 @@ def _tour_run(tree, meter, root, masked, cur, arrival, budget, target):
     return frm, cur, arrival, done
 
 
-def _branch_race(tree, meter, w, v, root, budget):
-    """Replay w's branch, v masked, for at most ``budget`` steps: True
-    once it meets ``root``, False when it ends first, None when it runs
-    out of budget."""
-    if _tour_empty(tree, meter, w, v):
-        return False
-    _, cur, _, done = _tour_run(tree, meter, w, v, w, 0, budget, root)
-    if cur == root:
-        return True
-    return False if done else None
-
-
 def _race_parent(tree, meter, root, v):
     """v's parent in the tree rooted at ``root``, v != root: the one
     neighbor whose branch, v masked, holds the root.
 
-    Rounds double a budget b from 1.  Each round reads v's list and
-    replays every neighbor's branch for at most b steps; a neighbor that
-    is the root, or whose branch meets it, is the parent, and so is the
-    one branch left unfinished when every other one ends.  The last
-    neighbor is not replayed when all the others have ended, so a leaf
-    costs one read of its list.  A whole-tree replay runs alongside,
+    Rounds double a budget b from 1.  Each round reads v's list and runs
+    every neighbor's branch tour, v masked, for at most b steps; a
+    neighbor that is the root, or whose branch meets it, is the parent,
+    and so is the one branch left unfinished when every other one ends.
+    The last neighbor is not raced when all the others have ended, so a
+    leaf costs one read of its list.  A whole-tree replay runs alongside,
     ``REPLAY_PACE * deg(v) * b`` steps a round from where the last round
     left it, and answers when it first arrives at v: the search costs at
     most about (1 + 1 / REPLAY_PACE) times that replay alone.  The
-    replay's root-degree probe is charged when a round first advances it.
+    replay's first run probes the root's degree, so that probe is charged
+    only in a round that advances the replay.
     """
-    cur, arrival, done = root, 0, None  # done is None until the replay starts
+    cur, arrival = root, 0
     budget = 1
     while True:
         around = tree.neighbors(v, meter)
@@ -215,25 +201,22 @@ def _race_parent(tree, meter, root, v):
         for slot, w in enumerate(around, 1):
             if w == root or first is None and slot == len(around):
                 return w
-            raced = _branch_race(tree, meter, w, v, root, budget)
-            if raced:
+            _, met, _, ended = _tour_run(tree, meter, w, v, w, 0, budget, root)
+            if met == root:
                 return w
-            if raced is None:
+            if not ended:
                 if first is None:
                     first = w
                 else:
                     second = True
         if not second:
             return first
-        if done is None:
-            done = _tour_empty(tree, meter, root, None)
-        if not done:
-            pace = REPLAY_PACE * len(around) * budget
-            frm, cur, arrival, done = _tour_run(
-                tree, meter, root, None, cur, arrival, pace, v
-            )
-            if cur == v:
-                return frm
+        pace = REPLAY_PACE * len(around) * budget
+        frm, cur, arrival, done = _tour_run(
+            tree, meter, root, None, cur, arrival, pace, v
+        )
+        if cur == v:
+            return frm
         if done:
             raise DomainError(f"vertex {v} not reached from root {root}")
         budget *= 2
@@ -266,12 +249,11 @@ class RootedTreeView:
             return self.mask
         if self.mask is None:
             return _race_parent(self.tree, self.meter, self.root, v)
-        if not _tour_empty(self.tree, self.meter, self.root, self.mask):
-            frm, cur, _, _ = _tour_run(
-                self.tree, self.meter, self.root, self.mask, self.root, 0, None, v
-            )
-            if cur == v:
-                return frm
+        frm, cur, _, _ = _tour_run(
+            self.tree, self.meter, self.root, self.mask, self.root, 0, None, v
+        )
+        if cur == v:
+            return frm
         raise DomainError(f"vertex {v} not reached from root {self.root}")
 
     def children(self, v, parent):
@@ -307,16 +289,6 @@ class FunctionalView:
 # the view for one ancestor.  Directed views ignore the parent handed to
 # ``children``, so a climb leaves their grandparent unheld (None) and
 # the climb after it asks for the parent it lacks.
-
-
-def _start(view, v):
-    """The view a walk of v's subtree runs on, and v's parent as the walk
-    holds it: found by one replay on an undirected view, unused (None)
-    on a directed one."""
-    if view.undirected:
-        view = view.branch(v)
-        return view, view.out(v)
-    return view, None
 
 
 def _first_child(view, v, parent):
@@ -362,7 +334,10 @@ def subtree_cover_member(view, v):
     verdict at any child immediately settles its parent as True,
     skipping the remaining siblings.
     """
-    view, parent = _start(view, v)
+    parent = None  # a directed view never uses it
+    if view.undirected:
+        view = view.branch(v)
+        parent = view.out(v)
     cur, parent, grandparent = _descend(view, v, parent, None)
     verdict = False
     while cur != v:

@@ -274,6 +274,16 @@ def test_whole_tree_replay_probes_the_root_lazily():
             2 + primitive,
             12 + probes,
         )
+    # v = 2 has two leaf children and then the parent: slot 3 holds the
+    # root in the first tree and is the last slot in the second.  Each
+    # leaf's branch, v masked, is empty and costs its 2 emptiness probes,
+    # so the search reads v's list (3) plus 2 per leaf and no step.
+    for t, parent in (
+        (GraphInstance(4, [(2, 3), (2, 4), (1, 2)]), 1),
+        (GraphInstance(5, [(2, 3), (2, 4), (2, 5), (1, 5)]), 5),
+    ):
+        got, snap = with_meter(lambda meter: RootedTreeView(t, 1, meter).out(2))
+        assert (got, snap.input_accesses, snap.primitive_words) == (parent, 7, 0)
 
 
 def _modes_agree_on_labelled_trees(n):
