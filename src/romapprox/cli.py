@@ -99,151 +99,143 @@ def _underlying(dg):
 
 @dataclass(frozen=True)
 class _Solver:
-    """One solve/bench row.  The output must be a ``kind`` solution of
-    ``judged(instance)`` (the instance itself when None); --compare-exact
-    measures it against the IS optimum for MAXIMAL_IS, else against
-    ``kind``'s.  ``structure`` is the input class --check-structure tests.
-    ``audited`` says --space-audit selects an audited mode (layered and
-    staggered routes, metered tree and functional walks); elsewhere the
-    flag changes nothing and reports say ``"audited": false``."""
+    """One solve/bench row; ``run`` calls ``fn(instance, *flags, meter=...)``
+    with the flags ``reads`` names, in order (``needs`` lists those the
+    route cannot run without).  ``audit`` is the keyword --space-audit
+    sets, selecting an audited mode (layered and staggered routes, metered
+    tree and functional walks); None where the flag changes nothing and
+    reports say ``"audited": false``.  The output must be a ``kind``
+    solution of ``judged(instance)`` (the instance itself when None);
+    --compare-exact measures it against the IS optimum for MAXIMAL_IS,
+    else against ``kind``'s.  ``structure`` is the input class
+    --check-structure tests.  Reports name ``fn``, or ``label`` for a
+    dispatcher."""
 
-    name: str
+    fn: callable
     loader: str
-    run: callable
     kind: ProblemKind
     judged: callable = None
     structure: StructureKind = None
+    reads: tuple = ()
     needs: tuple = ()
-    audited: bool = False
+    audit: str = None
+    label: str = None
+
+    @property
+    def name(self):
+        return self.label or self.fn.__name__
+
+    @property
+    def audited(self):
+        return self.audit is not None
 
     def judge(self, inst):
         return inst if self.judged is None else self.judged(inst)
+
+    def run(self, inst, args, meter):
+        flags = [getattr(args, flag) for flag in self.reads]
+        audit = {self.audit: args.space_audit} if self.audited else {}
+        return self.fn(inst, *flags, meter=meter, **audit)
 
 
 def _del_pi_solver(problem):
     directed = problem in TOURNAMENT_PROBLEMS
     return _Solver(
-        "del_pi_approx",
+        del_pi_approx,
         "digraph" if directed else "graph",
-        lambda inst, a, m: del_pi_approx(
-            inst, problem, a.epsilon, meter=m, space_audit=a.space_audit
-        ),
         ProblemKind.HS,
         judged=lambda inst: forbidden_family(inst, problem),
         structure=StructureKind.TOURNAMENT if directed else None,
+        reads=("problem", "epsilon"),
         needs=("epsilon",),
-        audited=True,
+        audit="space_audit",
     )
 
 
-def _run_staggered_hs(f, a, m):
-    if a.k is not None:
-        return hs_bounded_k(f, a.k, a.epsilon, meter=m, space_audit=a.space_audit)
-    return hs_eps_approx(f, a.epsilon, meter=m, space_audit=a.space_audit)
+def _staggered_hs(f, k, eps, meter=None, space_audit=False):
+    if k is not None:
+        return hs_bounded_k(f, k, eps, meter=meter, space_audit=space_audit)
+    return hs_eps_approx(f, eps, meter=meter, space_audit=space_audit)
 
 
-def _run_c4free_ds(g, a, m):
-    if a.k is not None:
-        return c4free_ds_bounded_k(g, a.k, meter=m)
-    return c4free_ds_approx(g, meter=m)
+def _c4free_ds(g, k, meter=None):
+    if k is not None:
+        return c4free_ds_bounded_k(g, k, meter=meter)
+    return c4free_ds_approx(g, meter=meter)
 
 
 SOLVERS = {
     ("vc", "tree"): _Solver(
-        "tree_min_vc",
+        tree_min_vc,
         "graph",
-        lambda g, a, m: tree_min_vc(g, meter=m, metered=a.space_audit),
         ProblemKind.VC,
         structure=StructureKind.TREE,
-        audited=True,
+        audit="metered",
     ),
     ("is", "tree"): _Solver(
-        "tree_max_is",
+        tree_max_is,
         "graph",
-        lambda g, a, m: tree_max_is(g, meter=m, metered=a.space_audit),
         ProblemKind.IS,
         structure=StructureKind.TREE,
-        audited=True,
+        audit="metered",
     ),
     ("vc", "functional"): _Solver(
-        "functional_min_vc",
+        functional_min_vc,
         "digraph",
-        lambda dg, a, m: functional_min_vc(dg, meter=m, metered=a.space_audit),
         ProblemKind.VC,
         judged=_underlying,
         structure=StructureKind.FUNCTIONAL,
-        audited=True,
+        audit="metered",
     ),
     ("is", "functional"): _Solver(
-        "functional_max_is",
+        functional_max_is,
         "digraph",
-        lambda dg, a, m: functional_max_is(dg, meter=m, metered=a.space_audit),
         ProblemKind.IS,
         judged=_underlying,
         structure=StructureKind.FUNCTIONAL,
-        audited=True,
+        audit="metered",
     ),
     ("vc", "bounded-degree"): _Solver(
-        "bd_vc_2approx",
-        "graph",
-        lambda g, a, m: bd_vc_2approx(g, meter=m, space_audit=a.space_audit),
-        ProblemKind.VC,
-        audited=True,
+        bd_vc_2approx, "graph", ProblemKind.VC, audit="space_audit"
     ),
     ("is", "maximal"): _Solver(
-        "bd_maximal_is",
-        "graph",
-        lambda g, a, m: bd_maximal_is(g, meter=m, space_audit=a.space_audit),
-        ProblemKind.MAXIMAL_IS,
-        audited=True,
+        bd_maximal_is, "graph", ProblemKind.MAXIMAL_IS, audit="space_audit"
     ),
-    ("is", "avg-degree"): _Solver(
-        "avg_degree_is",
-        "graph",
-        lambda g, a, m: avg_degree_is(g, meter=m),
-        ProblemKind.IS,
-    ),
+    ("is", "avg-degree"): _Solver(avg_degree_is, "graph", ProblemKind.IS),
     ("hs", "multiplicity"): _Solver(
-        "bounded_mult_hs",
-        "family",
-        lambda f, a, m: bounded_mult_hs(f, meter=m, space_audit=a.space_audit),
-        ProblemKind.HS,
-        audited=True,
+        bounded_mult_hs, "family", ProblemKind.HS, audit="space_audit"
     ),
     ("hs", "staggered"): _Solver(
-        "hs_bounded_k",
+        _staggered_hs,
         "family",
-        _run_staggered_hs,
         ProblemKind.HS,
+        reads=("k", "epsilon"),
         needs=("epsilon",),
-        audited=True,
+        audit="space_audit",
+        label="hs_bounded_k",
     ),
-    ("hs", "sqrt"): _Solver(
-        "hs_sqrt_approx",
-        "family",
-        lambda f, a, m: hs_sqrt_approx(f, meter=m),
-        ProblemKind.HS,
-    ),
+    ("hs", "sqrt"): _Solver(hs_sqrt_approx, "family", ProblemKind.HS),
     ("ds", "c4free"): _Solver(
-        "c4free_ds",
+        _c4free_ds,
         "graph",
-        _run_c4free_ds,
         ProblemKind.DS,
         structure=StructureKind.C4_FREE,
+        reads=("k",),
+        label="c4free_ds",
     ),
     ("ds", "degenerate"): _Solver(
-        "dgn_dom_set",
+        dgn_dom_set,
         "graph",
-        lambda g, a, m: dgn_dom_set(g, d=a.d, meter=m, space_audit=a.space_audit),
         ProblemKind.DS,
         structure=StructureKind.DEGENERATE,
+        reads=("d",),
     ),
     ("ds", "regular"): _Solver(
-        "regular_ds_derand",
+        regular_ds_derand,
         "graph",
-        lambda g, a, m: regular_ds_derand(g, a.d, meter=m),
         ProblemKind.DS,
         structure=StructureKind.REGULAR,
+        reads=("d",),
         needs=("d",),
     ),
     **{(p, "staggered"): _del_pi_solver(p) for p in FORBIDDEN_CATALOG},

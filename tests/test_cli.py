@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -291,6 +292,36 @@ def test_gen_infeasible(capsys):
     assert code == 1
     code, _ = run(capsys, "gen", "degenerate", "--n", "5")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "tree", "--n", "-1"), "vertex count must be nonnegative, got -1"),
+        (("gen", "tree", "--n", "0"), "a tree needs at least one vertex"),
+        (("gen", "regular", "--n", "8"), "regular generation needs --d >= 0"),
+        (
+            ("validate", "--problem", "vc", "--candidate", "1,x", "--input", TRI),
+            "candidate must be integer ids, got '1,x'",
+        ),
+    ],
+    ids=["gen_negative_n", "gen_empty_tree", "gen_regular_without_d", "bad_candidate"],
+)
+def test_rejected_requests_exit_one_with_a_message(tmp_path, capsys, argv, message):
+    argv = [write(tmp_path, "in.gr", a) if a == TRI else a for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_solve_reads_stdin(tmp_path, capsys, monkeypatch):
+    argv = ("solve", "--problem", "vc", "--algorithm", "tree", "--input")
+    _, from_file = run(capsys, *argv, write(tmp_path, "tree.gr", TREE6))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TREE6))
+    code, from_stdin = run(capsys, *argv, "-")
+    assert code == 0
+    from_file, from_stdin = json.loads(from_file), json.loads(from_stdin)
+    del from_file["runtime_ms"], from_stdin["runtime_ms"]
+    assert from_stdin == from_file
 
 
 def test_bench_cmd(capsys):

@@ -167,6 +167,39 @@ def test_accessor_domain_errors():
         f.ith_set_of(5, 1)
 
 
+_G = load_graph(PATH4)
+_DG = load_digraph("q 3 2\na 1 2\na 2 3\n")
+_F = load_family(FAMILY)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _G.neighbors(5), DomainError, "vertex 5 out of range 1..4"),
+        (lambda: _G.has_edge(0, 1), DomainError, "edge (0, 1) out of range 1..4"),
+        (lambda: _DG.out_neighbors(4), DomainError, "vertex 4 out of range 1..3"),
+        (lambda: _DG.in_neighbors(0), DomainError, "vertex 0 out of range 1..3"),
+        (lambda: _DG.has_arc(1, 4), DomainError, "arc (1, 4) out of range 1..3"),
+        (lambda: _F.set_elements(4), DomainError, "set index 4 out of range 1..3"),
+        (lambda: _F.sets_containing(0), DomainError, "element 0 out of range 1..4"),
+        (lambda: _F.ith_set_of(1, 0), DomainError, "set rank must be positive, got 0"),
+        (
+            lambda: load_graph("p 3 -1\n"),
+            ParseError,
+            "line 1: negative line count -1 in graph header",
+        ),
+    ],
+    ids=[
+        "neighbors", "has_edge", "out_neighbors", "in_neighbors", "has_arc",
+        "set_elements", "sets_containing", "ith_set_of_rank", "negative_line_count",
+    ],
+)
+def test_range_checks_name_the_bad_value(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_metered_accessors_charge_input_accesses():
     g = load_graph(PATH4)
     m = WorkspaceMeter()

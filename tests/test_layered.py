@@ -232,6 +232,21 @@ def test_audited_meter_counts_pinned():
     assert astuple(snap) == (96, 0, 4166, 4)
 
 
+def test_fast_meter_counts_pinned():
+    # The fast mode charges its input reads too: a stage's successor
+    # scan reads one rank-i word per live vertex (all n at stage 1), and
+    # an independent stage reads each scanned list up to the kept
+    # neighbor that stops it.  The graph is `romapprox gen regular --n 16
+    # --d 3 --seed 0`.
+    g = _gen_regular(random.Random(0), 16, 3)
+    got, snap = with_meter(lambda meter: list(bd_vc_2approx(g, meter=meter)))
+    assert got == [1, 2, 4, 9, 10, 11, 13, 7, 12, 14, 3]
+    assert astuple(snap) == (72, 0, 31, 3)
+    got, snap = with_meter(lambda meter: list(bd_maximal_is(g, meter=meter)))
+    assert got == [3, 6, 7, 8, 14, 16]
+    assert astuple(snap) == (28, 0, 42, 4)
+
+
 def test_audited_bd_vc_accesses_scale_with_components_not_n():
     # A component query's cost follows its own tail and cycle, so
     # doubling n on 3-regular graphs less than quadruples the audited

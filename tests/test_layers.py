@@ -85,6 +85,31 @@ def test_level_bounds_checked():
     assert meter.pass_estimate == 0
 
 
+_GRAPH_VIEW = LayeredGraphView(PATH4, [delete_min_live_id()])
+_FAMILY_VIEW = LayeredFamilyView(FAMILY, [delete_element_min_live_id()])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _GRAPH_VIEW.level(2), "level 2 outside 0..1"),
+        (lambda: _GRAPH_VIEW.vertex_live(1, 5), "vertex 5 out of range 1..4"),
+        (lambda: _GRAPH_VIEW.stage_deleted(0, 1), "stage 0 outside 1..1"),
+        (lambda: _GRAPH_VIEW.stage_deleted(2, 1), "stage 2 outside 1..1"),
+        (lambda: _FAMILY_VIEW.set_live(1, 4), "set index 4 out of range 1..3"),
+        (
+            lambda: list(enumerate_stage(PATH4, 1, "S")),
+            "not a layered view: GraphInstance",
+        ),
+    ],
+    ids=["level", "vertex_live", "stage_0", "stage_past_depth", "set_live", "not_a_view"],
+)
+def test_range_checks_name_the_bad_value(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_predicate_budget_validated():
     with pytest.raises(DomainError):
         StagePredicate("too-big", lambda level, v: False, words_budget=WORDS_PER_LEVEL + 1)
