@@ -27,8 +27,6 @@ d(δ-1), plus its sweep stage.  Chosen sets are pairwise disjoint, so
 each costs at most its d elements against any optimum that must hit it.
 """
 
-from functools import partial
-
 from .instances import GraphInstance, SetFamilyInstance, require_instance
 from .layers import (
     LayeredFamilyView,
@@ -306,12 +304,8 @@ class _HsStage(StagePredicate):
 
     def _stage_sets(self, level):
         positions = []
-        live = partial(level.view._live, level.i)
         for j in range(1, level.base.m + 1):
-            members = level.set_elements(j)
-            if not all(map(live, members)):
-                continue
-            for e in members:
+            for e in level.live_members(j) or ():
                 if level.ith_set_of(e, self.i) == j:
                     positions.append(j)
                     break

@@ -137,19 +137,32 @@ class FamilyLevel(_Level):
     def element_live(self, e):
         return self.view.element_live(self.i, e)
 
+    def live_members(self, j):
+        """Set j's elements when all of them are live here, else None
+        (sets are never empty, so the answer is truthy iff j is live).
+
+        The one derivation of set liveness: one charged read of the set,
+        then each element's liveness in order up to the first dead one.
+        The ids come from the family itself, so none is re-validated."""
+        view = self.view
+        members = view.base.set_elements(j, view.meter)
+        live = view._live
+        i = self.i
+        for e in members:
+            if not live(i, e):
+                return None
+        return members
+
     def live_set_count_containing(self, e):
         view = self.view
         count = 0
         for j in view.base.sets_containing(e, view.meter):
-            if view.set_live(self.i, j):
+            if self.live_members(j):
                 count += 1
         return count
 
     def ith_set_of(self, e, i):
         return self.view.base.ith_set_of(e, i, self.view.meter)
-
-    def set_elements(self, j):
-        return self.view.base.set_elements(j, self.view.meter)
 
 
 class _LayeredView:
@@ -312,17 +325,13 @@ class LayeredFamilyView(_LayeredView):
     element_live = _LayeredView._checked_live
 
     def set_live(self, i, j):
-        if not 1 <= j <= self.base.m:
-            raise DomainError(f"set index {j} out of range 1..{self.base.m}")
-        for e in self.base.set_elements(j, self.meter):
-            if not self.element_live(i, e):
-                return False
-        return True
+        return self.level(i).live_members(j) is not None
 
     def _live_derived(self, i):
         """Indices of sets live at depth i: the layer derived from item
         liveness."""
-        return (j for j in range(1, self.base.m + 1) if self.set_live(i, j))
+        level = self.level(i)
+        return (j for j in range(1, self.base.m + 1) if level.live_members(j))
 
 
 def enumerate_stage(view, i, kind):

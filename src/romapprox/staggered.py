@@ -71,18 +71,14 @@ class _FreqStage(StagePredicate):
         return level.live_set_count_containing(e) >= self.theta - SLOP
 
     def deletions(self, level):
-        """The live elements ``check`` deletes, ascending, from one
-        charged read of each set: a set is live when all its elements
-        are, and each live set counts once for each of its elements."""
-        alive = level.live_ids()
+        """The live elements ``check`` deletes, ascending: each live set
+        counts once for each of its elements."""
         counts = [0] * (level.n + 1)
         for j in range(1, level.base.m + 1):
-            members = level.set_elements(j)
-            if all(e in alive for e in members):
-                for e in members:
-                    counts[e] += 1
+            for e in level.live_members(j) or ():
+                counts[e] += 1
         bar = self.theta - SLOP
-        return [e for e in alive if counts[e] >= bar]
+        return [e for e in level.live_ids() if counts[e] >= bar]
 
 
 def _augmented_kernel(f, k):
@@ -130,10 +126,11 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
     survivors = range(1, kernel.m + 1)
     for j in range(1, schedule.rounds):
         cap = schedule.kappa(k, j) + SLOP
+        level = view.level(j)
         # a set dead after round j-1 stays dead
         alive, survivors = survivors, []
         for t in alive:
-            if view.set_live(j, t):
+            if level.live_members(t):
                 survivors.append(t)
                 if len(survivors) > cap:
                     return None

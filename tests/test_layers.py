@@ -110,6 +110,46 @@ def test_range_checks_name_the_bad_value(call, message):
     assert str(info.value) == message
 
 
+def _delete(victim):
+    return StagePredicate(f"delete-{victim}", lambda level, e: e == victim, words_budget=4)
+
+
+@pytest.mark.parametrize("memoized", [False, True])
+def test_live_members_reads_a_set_once_up_to_its_first_dead_element(memoized):
+    # Stage 1 deletes element 1 and stage 2 element 4.  The stages read
+    # nothing, so every access and liveness question is the query's own:
+    # len(set) accesses per call, and elements asked in set order up to
+    # the first dead one.
+    f = SetFamilyInstance(5, 3, [(2, 1, 3), (2, 3, 4), (5, 3)])
+    meter = WorkspaceMeter()
+    view = LayeredFamilyView(f, [_delete(1), _delete(4)], meter=meter, memoized=memoized)
+    asked = []
+    real = view._live
+
+    def spy(i, e, k=0):
+        asked.append(e)
+        return real(i, e, k)
+
+    view._live = spy
+    want = {
+        0: [((2, 1, 3), [2, 1, 3]), ((2, 3, 4), [2, 3, 4]), ((5, 3), [5, 3])],
+        1: [(None, [2, 1]), ((2, 3, 4), [2, 3, 4]), ((5, 3), [5, 3])],
+        2: [(None, [2, 1]), (None, [2, 3, 4]), ((5, 3), [5, 3])],
+    }
+    for i, rows in want.items():
+        level = view.level(i)
+        for j, (members, elements) in enumerate(rows, start=1):
+            before = meter.input_accesses
+            asked.clear()
+            assert level.live_members(j) == members
+            assert meter.input_accesses - before == len(f.sets[j - 1])
+            assert asked == elements
+            assert view.set_live(i, j) == (members is not None)
+    with pytest.raises(DomainError) as info:
+        view.level(1).live_members(4)
+    assert str(info.value) == "set index 4 out of range 1..3"
+
+
 def test_predicate_budget_validated():
     with pytest.raises(DomainError):
         StagePredicate("too-big", lambda level, v: False, words_budget=WORDS_PER_LEVEL + 1)

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from romapprox.errors import DomainError
 from romapprox.instances import DigraphInstance, GraphInstance, SetFamilyInstance
+from romapprox.kernels import retention_scan
 from romapprox.layers import LayeredFamilyView
 from romapprox.meter import with_meter
 from romapprox.staggered import (
@@ -108,6 +109,19 @@ def test_hs_bounded_meter_pinned(space_audit, accesses):
     assert astuple(snap) == (48, 0, accesses, 3)
 
 
+@pytest.mark.parametrize("space_audit", [False, True])
+def test_peel_round_cap_admits_exactly_kappa_survivors(space_audit):
+    # k = 1, eps = 1, d = 3: one peeling round, theta_1 = 2^1 and cap
+    # kappa_1 = 2^2 = 4.  Disjoint triples are all retained and no element
+    # reaches theta, so every triple survives round 1: four meet the cap
+    # and the survivors' elements are the answer, a fifth exceeds it.
+    triples = [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)]
+    f = SetFamilyInstance(12, 3, triples)
+    assert hs_bounded_k(f, 1, 1, space_audit=space_audit) == list(range(1, 13))
+    f = SetFamilyInstance(15, 3, triples + [(13, 14, 15)])
+    assert hs_bounded_k(f, 1, 1, space_audit=space_audit) is None
+
+
 def test_fast_peeling_deletions_match_check():
     # Every fast peeling stage deletes exactly the live elements its
     # audited check deletes, ascending: duplicate sets count once each,
@@ -198,6 +212,18 @@ def test_hs_sqrt_frozen():
     assert hs_sqrt_approx(SetFamilyInstance(1, 1, [(1,)])) == [1]
     f = SetFamilyInstance(3, 1, [(1,), (2,), (3,)])
     assert hs_sqrt_approx(f) == [1, 2, 3]
+
+
+def test_hs_sqrt_budget_cap_at_a_perfect_power():
+    # n = 8, d = 3: the cap ceil(8^(1/3)) = 2 leaves budget 1 the only one
+    # tried.  The scan proves it NO (the seven Fano lines on 1..7 plus
+    # (1, 2) and (3,)) though budget 2 passes, so the answer is the
+    # ground set, not budget 2's retained elements 1..7.
+    fano = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+    f = SetFamilyInstance(8, 3, fano + [(1, 2), (3,)])
+    assert retention_scan(f, 1)[2]
+    assert not retention_scan(f, 2)[2]
+    assert hs_sqrt_approx(f) == list(range(1, 9))
 
 
 def test_hs_sqrt_random():
