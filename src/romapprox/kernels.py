@@ -8,7 +8,8 @@ input order and retains a set exactly when none of its subsets, from
 the empty set up to the set itself, already appears inside
 (k+1)^(d-|subset|) retained sets.  Retention thus depends only on what
 came earlier, so a rescan reproduces any prefix of the decision
-sequence.
+sequence.  A budget search scans one :class:`RetentionTable` at each
+budget, so each set's subsets are listed once per search.
 """
 
 from dataclasses import dataclass
@@ -128,31 +129,72 @@ def retention_scan(f, k):
     appending sets after that one never changes the answer.
     """
     require_instance(f, SetFamilyInstance, "retention_scan")
-    if k < 0:
-        raise DomainError(f"budget must be nonnegative, got {k}")
-    ceiling = [(k + 1) ** (f.d - size) for size in range(f.d + 1)]
-    counts = {}
-    retained = []
-    recorded = {}  # insertion-ordered, so first appearance order
-    for j in range(1, f.m + 1):
+    return RetentionTable(f).scan(k)
+
+
+class RetentionTable:
+    """The subset lists of one family's sets, kept across budgets.
+
+    A budget search scans one table at each budget it tries: row j holds
+    integer ids of set j's subsets, ascending by size and then
+    lexicographically, ``()`` (id 0) first, and ``subsets`` maps an id
+    back to its sorted tuple.  A row is built, through
+    ``f.set_elements(j)``, the first time a scan reaches set j, so a NO
+    scan still reads no set past its proving one.  Neither the table
+    nor a scan's room counters are charged to any meter: they hold
+    Theta(m * 2^d) words for one solver call.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        self.rows = []
+        self.subsets = []
+        self._ids = {}
+
+    def _add_row(self, j, room, ceiling):
+        """Append set j's row; each new id gets its full ceiling as its
+        room in the running scan."""
+        subsets, ids = self.subsets, self._ids
         # combinations of a sorted tuple are sorted tuples, one key per subset
-        ordered = sorted(f.set_elements(j))
-        subsets = [
-            sub for size in range(len(ordered) + 1) for sub in combinations(ordered, size)
-        ]
-        witnesses = [b for b in subsets if counts.get(b, 0) >= ceiling[len(b)]]
-        if not witnesses:
-            retained.append(j)
-            for b in subsets:
-                counts[b] = counts.get(b, 0) + 1
-            continue
-        # subsets ascend by size, so () is last only when it is alone
-        if not witnesses[-1]:
-            return (), (), True
-        for b in witnesses:
-            if b and b not in recorded:
-                recorded[b] = None
-    return tuple(retained), tuple(recorded), False
+        ordered = sorted(self.f.set_elements(j))
+        row = []
+        for size in range(len(ordered) + 1):
+            for sub in combinations(ordered, size):
+                b = ids.get(sub)
+                if b is None:
+                    b = ids[sub] = len(subsets)
+                    subsets.append(sub)
+                    room.append(ceiling[size])
+                row.append(b)
+        self.rows.append(row)
+
+    def scan(self, k):
+        """:func:`retention_scan` at budget k, on this table's family."""
+        if k < 0:
+            raise DomainError(f"budget must be nonnegative, got {k}")
+        f, rows, subsets = self.f, self.rows, self.subsets
+        ceiling = [(k + 1) ** (f.d - size) for size in range(f.d + 1)]
+        # room[b]: retained supersets subset b still admits before it saturates
+        room = [ceiling[len(b)] for b in subsets]
+        retained = []
+        recorded = {}  # insertion-ordered, so first appearance order
+        for j in range(1, f.m + 1):
+            if j > len(rows):
+                self._add_row(j, room, ceiling)
+            row = rows[j - 1]
+            witnesses = [b for b in row if room[b] <= 0]
+            if not witnesses:
+                retained.append(j)
+                for b in row:
+                    room[b] -= 1
+                continue
+            # rows ascend by size, so () (id 0) is last only when it is alone
+            if not witnesses[-1]:
+                return (), (), True
+            for b in witnesses:
+                if b and b not in recorded:
+                    recorded[b] = None
+        return tuple(retained), tuple(subsets[b] for b in recorded), False
 
 
 def kernel_family(f, outcome):

@@ -22,7 +22,7 @@ from itertools import combinations
 from .errors import DomainError
 from .exact import StructureKind, validate
 from .instances import DigraphInstance, GraphInstance, SetFamilyInstance, require_instance
-from .kernels import retention_scan
+from .kernels import RetentionTable
 from .layers import LayeredFamilyView, StagePredicate, enumerate_stage
 
 SLOP = 1e-9
@@ -81,10 +81,11 @@ class _FreqStage(StagePredicate):
         return [e for e in level.live_ids() if counts[e] >= bar]
 
 
-def _augmented_kernel(f, k):
+def _augmented_kernel(table, k):
     """Retained sets plus the multi-element saturated witnesses, or None
-    when the scan itself rules out budget k."""
-    retained, witnesses, saturated_no = retention_scan(f, k)
+    when the table's scan itself rules out budget k."""
+    f = table.f
+    retained, witnesses, saturated_no = table.scan(k)
     if saturated_no:
         return None
     sets = [f.set_elements(j) for j in retained]
@@ -115,10 +116,16 @@ def hs_bounded_k(f, k, eps, meter=None, space_audit=False):
     """
     require_instance(f, SetFamilyInstance, "hs_bounded_k")
     _check_eps(eps)
-    kernel = _augmented_kernel(f, k)
+    return _bounded_k(RetentionTable(f), k, eps, meter, space_audit)
+
+
+def _bounded_k(table, k, eps, meter, space_audit):
+    """:func:`hs_bounded_k` on the family of a retention table that a
+    budget search scans at every budget."""
+    kernel = _augmented_kernel(table, k)
     if kernel is None:
         return None
-    schedule = EpsSchedule(eps, f.d)
+    schedule = EpsSchedule(eps, table.f.d)
     stages = [
         _FreqStage(j, schedule.theta(k, j)) for j in range(1, schedule.rounds)
     ]
@@ -152,8 +159,9 @@ def hs_eps_approx(f, eps, meter=None, space_audit=False):
     require_instance(f, SetFamilyInstance, "hs_eps_approx")
     _check_eps(eps)
     cap = math.ceil(f.n ** (1 - eps) - SLOP)
+    table = RetentionTable(f)
     for k in range(1, cap):
-        got = hs_bounded_k(f, k, eps, meter=meter, space_audit=space_audit)
+        got = _bounded_k(table, k, eps, meter, space_audit)
         if got is not None:
             return got
     return [e for e in range(1, f.n + 1) if f.sets_containing(e)]
@@ -169,8 +177,9 @@ def hs_sqrt_approx(f, meter=None):
     """
     require_instance(f, SetFamilyInstance, "hs_sqrt_approx")
     cap = math.ceil(f.n ** (1 / f.d) - SLOP)
+    table = RetentionTable(f)
     for k in range(1, cap):
-        retained, _, saturated_no = retention_scan(f, k)
+        retained, _, saturated_no = table.scan(k)
         if saturated_no:
             continue
         used = set()

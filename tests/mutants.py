@@ -8,12 +8,14 @@ Run from anywhere, with the standard library and pytest only:
 Each entry is (file, exact old text, new text, reason).  It is applied to
 a fresh temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``,
 where ``python -m pytest -q -x -m "not slow" -p no:cacheprovider`` runs
-with that copy's ``src`` first on the path; one run at a time.  Each
-line reports the verdict, the seconds the run took and the first test
-that failed.  The script exits 1 when a mutant survives (the suite
-passes), no longer applies (its old text does not occur exactly once in
-its file) or stops pytest other than by a failing test.  pytest does not
-collect this file: its name does not start with ``test_``.
+with that copy's ``src`` first on the path, leaving out
+``test_mutants.py`` (the push-time check that each old text occurs
+once); one run at a time.  Each line reports the verdict, the seconds
+the run took and the first test that failed.  The script exits 1 when a
+mutant survives (the suite passes), no longer applies (its old text does
+not occur exactly once in its file) or stops pytest other than by a
+failing test.  pytest does not collect this file: its name does not
+start with ``test_``.
 
 Left out as equivalent mutants: ``>=`` -> ``>`` against ``theta - SLOP``
 and ``>`` -> ``>=`` against ``kappa + SLOP`` in ``staggered.py``.  Each
@@ -32,12 +34,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
-PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-m", "not slow", "-p", "no:cacheprovider"]
+# test_mutants.py reads the mutated copy and would kill every mutant itself
+PYTEST = [
+    sys.executable, "-m", "pytest", "-q", "-x", "-m", "not slow", "-p", "no:cacheprovider",
+    "--ignore=tests/test_mutants.py",
+]
 
 LAYERED = "src/romapprox/layered.py"
 LAYERS = "src/romapprox/layers.py"
 STAGGERED = "src/romapprox/staggered.py"
 KERNELS = "src/romapprox/kernels.py"
+TREEFUNC = "src/romapprox/treefunc.py"
+HASHING = "src/romapprox/hashing.py"
 
 MUTANTS = [
     (
@@ -90,9 +98,15 @@ MUTANTS = [
     ),
     (
         KERNELS,
-        ">= ceiling[len(b)]",
-        "> ceiling[len(b)]",
+        "room[b] <= 0",
+        "room[b] < 0",
         "the retention rule keeps one set past each subset's ceiling",
+    ),
+    (
+        KERNELS,
+        "j > len(rows)",
+        "j >= len(rows)",
+        "a retention table builds a reached set's row again, shifting every later row",
     ),
     (
         LAYERED,
@@ -127,6 +141,18 @@ MUTANTS = [
         "f.n ** (1 / f.d) - SLOP",
         "f.n ** (1 / f.d) + SLOP",
         "hs_sqrt_approx tries budget n^(1/d) when that is integral",
+    ),
+    (
+        TREEFUNC,
+        "size_u <= size_w",
+        "size_u < size_w",
+        "a metered cycle vertex takes the successor's ban on a tie, not the minimum id's",
+    ),
+    (
+        HASHING,
+        "score < best[0]",
+        "score <= best[0]",
+        "a hash sweep tie goes to the last best member, not the smallest (a, b)",
     ),
 ]
 

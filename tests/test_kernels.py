@@ -1,9 +1,17 @@
+from collections import Counter
+
 import pytest
 
 import oracles
 from romapprox.errors import DomainError
 from romapprox.instances import GraphInstance, SetFamilyInstance
-from romapprox.kernels import buss_vc_kernel, fk_hs_kernel, kernel_family, retention_scan
+from romapprox.kernels import (
+    RetentionTable,
+    buss_vc_kernel,
+    fk_hs_kernel,
+    kernel_family,
+    retention_scan,
+)
 from romapprox.staggered import hs_bounded_k, hs_eps_approx, hs_sqrt_approx
 
 MATCHING8 = GraphInstance(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -171,6 +179,49 @@ def test_retention_scan_reads_no_set_past_the_proving_one():
 
     assert retention_scan(Logged(3, 1, [(1,), (2,), (3,)]), 0) == ((), (), True)
     assert read == [1, 2]
+
+
+def test_retention_table_scans_any_budget_order():
+    # One table scanned at budgets in any order, each scan building the
+    # rows it reaches first, answers as a fresh recount at that budget.
+    rng = oracles.make_rng("retention-table")
+    saw_no = saw_yes = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 9)
+        sets = oracles.random_family(rng, n, rng.randint(1, 16), d)
+        table = RetentionTable(SetFamilyInstance(n, d, sets))
+        for k in (3, 0, 2, 4, 1, 3):
+            want = oracles.retention_rescan(sets, d, k)
+            if want[2]:
+                want = ((), (), True)
+            assert table.scan(k) == want
+            saw_no += want[2]
+            saw_yes += not want[2]
+    assert saw_no and saw_yes
+
+
+@pytest.mark.parametrize(
+    "solver", [lambda f: hs_eps_approx(f, 0.5), hs_sqrt_approx], ids=["eps", "sqrt"]
+)
+def test_budget_search_reads_each_set_at_most_twice(solver):
+    # Once for the search's one retention table, once for the successful
+    # budget's kernel, however many budgets were scanned before it.
+    rng = oracles.make_rng("table-reads")
+    sets = [tuple(rng.sample(range(1, 31), 3)) for _ in range(60)]
+    read = Counter()
+
+    class Counted(SetFamilyInstance):
+        def set_elements(self, j, meter=None):
+            read[j] += 1
+            return super().set_elements(j, meter)
+
+    f = Counted(30, 3, sets)
+    assert [retention_scan(f, k)[2] for k in (1, 2, 3)] == [True, True, False]
+    read.clear()
+    solver(f)
+    assert set(read) == set(range(1, f.m + 1))
+    assert max(read.values()) <= 2
 
 
 FAMILY_SOLVERS = [
