@@ -12,6 +12,7 @@ import json
 import random
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import exact
@@ -33,10 +34,12 @@ from .hashing import avg_degree_is
 from .instances import (
     DigraphInstance,
     GraphInstance,
+    SetFamilyInstance,
     load_digraph,
     load_family,
     load_graph,
     serialize_digraph,
+    serialize_family,
     serialize_graph,
 )
 from .kernels import buss_vc_kernel, fk_hs_kernel, kernel_family
@@ -80,12 +83,12 @@ def _read(path):
         return handle.read()
 
 
-_LOADERS = {"graph": load_graph, "digraph": load_digraph, "family": load_family}
-# the instance type `exact` and `validate` read for each kind; graph otherwise
-_KIND_LOADERS = {
-    ProblemKind.HS: load_family,
-    StructureKind.TOURNAMENT: load_digraph,
-    StructureKind.FUNCTIONAL: load_digraph,
+# each instance class's text format: its name in messages, loader and serializer
+_TextFormat = namedtuple("_TextFormat", "name load serialize")
+_FORMATS = {
+    GraphInstance: _TextFormat("graph", load_graph, serialize_graph),
+    DigraphInstance: _TextFormat("digraph", load_digraph, serialize_digraph),
+    SetFamilyInstance: _TextFormat("family", load_family, serialize_family),
 }
 
 
@@ -100,19 +103,19 @@ def _underlying(dg):
 @dataclass(frozen=True)
 class _Solver:
     """One solve/bench row; ``run`` calls ``fn(instance, *flags, meter=...)``
-    with the flags ``reads`` names, in order (``needs`` lists those the
-    route cannot run without).  ``audit`` is the keyword --space-audit
-    sets, selecting an audited mode (layered and staggered routes, metered
-    tree and functional walks); None where the flag changes nothing and
-    reports say ``"audited": false``.  The output must be a ``kind``
-    solution of ``judged(instance)`` (the instance itself when None);
-    --compare-exact measures it against the IS optimum for MAXIMAL_IS,
-    else against ``kind``'s.  ``structure`` is the input class
-    --check-structure tests.  Reports name ``fn``, or ``label`` for a
-    dispatcher."""
+    on an ``instance_class`` input, with the flags ``reads`` names, in
+    order (``needs`` lists those the route cannot run without).  ``audit``
+    is the keyword --space-audit sets, selecting an audited mode (layered
+    and staggered routes, metered tree and functional walks); None where
+    the flag changes nothing and reports say ``"audited": false``.  The
+    output must be a ``kind`` solution of ``judged(instance)`` (the
+    instance itself when None); --compare-exact measures it against the
+    IS optimum for MAXIMAL_IS, else against ``kind``'s.  ``structure`` is
+    the shape --check-structure tests.  Reports name ``fn``, or ``label``
+    for a dispatcher."""
 
     fn: callable
-    loader: str
+    instance_class: type
     kind: ProblemKind
     judged: callable = None
     structure: StructureKind = None
@@ -142,7 +145,7 @@ def _del_pi_solver(problem):
     directed = problem in TOURNAMENT_PROBLEMS
     return _Solver(
         del_pi_approx,
-        "digraph" if directed else "graph",
+        DigraphInstance if directed else GraphInstance,
         ProblemKind.HS,
         judged=lambda inst: forbidden_family(inst, problem),
         structure=StructureKind.TOURNAMENT if directed else None,
@@ -167,21 +170,21 @@ def _c4free_ds(g, k, meter=None):
 SOLVERS = {
     ("vc", "tree"): _Solver(
         tree_min_vc,
-        "graph",
+        GraphInstance,
         ProblemKind.VC,
         structure=StructureKind.TREE,
         audit="metered",
     ),
     ("is", "tree"): _Solver(
         tree_max_is,
-        "graph",
+        GraphInstance,
         ProblemKind.IS,
         structure=StructureKind.TREE,
         audit="metered",
     ),
     ("vc", "functional"): _Solver(
         functional_min_vc,
-        "digraph",
+        DigraphInstance,
         ProblemKind.VC,
         judged=_underlying,
         structure=StructureKind.FUNCTIONAL,
@@ -189,35 +192,35 @@ SOLVERS = {
     ),
     ("is", "functional"): _Solver(
         functional_max_is,
-        "digraph",
+        DigraphInstance,
         ProblemKind.IS,
         judged=_underlying,
         structure=StructureKind.FUNCTIONAL,
         audit="metered",
     ),
     ("vc", "bounded-degree"): _Solver(
-        bd_vc_2approx, "graph", ProblemKind.VC, audit="space_audit"
+        bd_vc_2approx, GraphInstance, ProblemKind.VC, audit="space_audit"
     ),
     ("is", "maximal"): _Solver(
-        bd_maximal_is, "graph", ProblemKind.MAXIMAL_IS, audit="space_audit"
+        bd_maximal_is, GraphInstance, ProblemKind.MAXIMAL_IS, audit="space_audit"
     ),
-    ("is", "avg-degree"): _Solver(avg_degree_is, "graph", ProblemKind.IS),
+    ("is", "avg-degree"): _Solver(avg_degree_is, GraphInstance, ProblemKind.IS),
     ("hs", "multiplicity"): _Solver(
-        bounded_mult_hs, "family", ProblemKind.HS, audit="space_audit"
+        bounded_mult_hs, SetFamilyInstance, ProblemKind.HS, audit="space_audit"
     ),
     ("hs", "staggered"): _Solver(
         _staggered_hs,
-        "family",
+        SetFamilyInstance,
         ProblemKind.HS,
         reads=("k", "epsilon"),
         needs=("epsilon",),
         audit="space_audit",
         label="hs_bounded_k",
     ),
-    ("hs", "sqrt"): _Solver(hs_sqrt_approx, "family", ProblemKind.HS),
+    ("hs", "sqrt"): _Solver(hs_sqrt_approx, SetFamilyInstance, ProblemKind.HS),
     ("ds", "c4free"): _Solver(
         _c4free_ds,
-        "graph",
+        GraphInstance,
         ProblemKind.DS,
         structure=StructureKind.C4_FREE,
         reads=("k",),
@@ -225,14 +228,14 @@ SOLVERS = {
     ),
     ("ds", "degenerate"): _Solver(
         dgn_dom_set,
-        "graph",
+        GraphInstance,
         ProblemKind.DS,
         structure=StructureKind.DEGENERATE,
         reads=("d",),
     ),
     ("ds", "regular"): _Solver(
         regular_ds_derand,
-        "graph",
+        GraphInstance,
         ProblemKind.DS,
         structure=StructureKind.REGULAR,
         reads=("d",),
@@ -318,9 +321,10 @@ def _lookup(args, refuse=None):
     return spec
 
 
-def _run(spec, inst, args):
+def _run(spec, inst, args, compare=False):
     """Run one solver on a fresh meter and time its whole output stream;
-    returns the report fields, or None for a NO verdict."""
+    returns the report fields, or None for a NO verdict.  ``compare`` adds
+    the judged instance's ``opt`` (IS's for MAXIMAL_IS) and the ``ratio``."""
     meter = WorkspaceMeter()
     start = time.perf_counter()
     sol = spec.run(inst, args, meter)
@@ -328,18 +332,25 @@ def _run(spec, inst, args):
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if sol is None:
         return None
-    return {
+    judged = spec.judge(inst)
+    result = {
         "solution": sol,
         "size": len(sol),
-        "valid": exact.validate(spec.kind, spec.judge(inst), sol)[0],
+        "valid": exact.validate(spec.kind, judged, sol)[0],
         "meter": _meter_block(meter),
         "runtime_ms": runtime_ms,
     }
+    if compare:
+        target = ProblemKind.IS if spec.kind is ProblemKind.MAXIMAL_IS else spec.kind
+        _, opt = exact.exact_opt(target, judged)
+        result["opt"] = opt
+        result["ratio"] = _ratio(len(sol), opt, target is ProblemKind.IS)
+    return result
 
 
 def cmd_solve(args):
     spec = _lookup(args)
-    inst = _LOADERS[spec.loader](_read(args.input))
+    inst = _FORMATS[spec.instance_class].load(_read(args.input))
     shape = spec.structure if args.check_structure else None
     if shape is StructureKind.DEGENERATE and args.d is None:
         shape = None  # no bound to check against
@@ -353,18 +364,9 @@ def cmd_solve(args):
         "params": _params(args),
         "audited": args.space_audit and spec.audited,
     }
-    result = _run(spec, inst, args)
-    if result is None:
-        _emit(args, {**report, "verdict": "NO"})
-        return 2
-    report.update(result)
-    if args.compare_exact:
-        target = ProblemKind.IS if spec.kind is ProblemKind.MAXIMAL_IS else spec.kind
-        _, opt = exact.exact_opt(target, spec.judge(inst))
-        report["opt"] = opt
-        report["ratio"] = _ratio(result["size"], opt, target is ProblemKind.IS)
-    _emit(args, report)
-    return 0
+    result = _run(spec, inst, args, args.compare_exact)
+    _emit(args, {**report, **(result or {"verdict": "NO"})})
+    return 0 if result else 2
 
 
 def cmd_kernel(args):
@@ -395,13 +397,13 @@ def cmd_kernel(args):
 
 def cmd_exact(args):
     kind = ProblemKind(args.problem)
-    inst = _KIND_LOADERS.get(kind, load_graph)(_read(args.input))
+    inst = _FORMATS[exact.INSTANCE_CLASS[kind]].load(_read(args.input))
     sol, opt = exact.exact_opt(kind, inst)
     _emit(args, {"problem": args.problem, "opt": opt, "solution": list(sol)})
     return 0
 
 
-_VALIDATE_KINDS = [k.value for k in ProblemKind] + [k.value for k in StructureKind]
+_VALIDATE_KINDS = {kind.value: kind for kind in exact.INSTANCE_CLASS}
 
 
 def _parse_candidate(text):
@@ -413,16 +415,13 @@ def _parse_candidate(text):
 
 
 def cmd_validate(args):
-    try:
-        kind = ProblemKind(args.problem)
-    except ValueError:
-        kind = StructureKind(args.problem)
+    kind = _VALIDATE_KINDS[args.problem]
     candidate = None
     if isinstance(kind, ProblemKind):
         if args.candidate is None:
             return _fail(f"validating {kind.value} needs --candidate")
         candidate = _parse_candidate(args.candidate)
-    inst = _KIND_LOADERS.get(kind, load_graph)(_read(args.input))
+    inst = _FORMATS[exact.INSTANCE_CLASS[kind]].load(_read(args.input))
     ok, witness = exact.validate(kind, inst, candidate=candidate, parameter=args.d)
     _emit(args, {"kind": args.problem, "ok": ok, "witness": _json_safe(witness)})
     return 0
@@ -529,7 +528,11 @@ def _gen_functional(rng, n):
     return DigraphInstance(n, arcs)
 
 
-_GEN_KINDS = ("tree", "c4free", "degenerate", "regular", "tournament", "functional")
+# the instance class each generator kind builds
+_GENERATED = {
+    **dict.fromkeys(("tree", "c4free", "degenerate", "regular"), GraphInstance),
+    **dict.fromkeys(("tournament", "functional"), DigraphInstance),
+}
 
 
 def _generate(kind, n, d, seed):
@@ -562,22 +565,17 @@ def _generate(kind, n, d, seed):
 
 def cmd_gen(args):
     inst = _generate(args.kind, args.n, args.d, args.seed)
-    text = (
-        serialize_digraph(inst)
-        if isinstance(inst, DigraphInstance)
-        else serialize_graph(inst)
-    )
-    sys.stdout.write(text)
+    sys.stdout.write(_FORMATS[_GENERATED[args.kind]].serialize(inst))
     return 0
 
 
 def cmd_bench(args):
     def refuse(spec):
-        if spec.loader == "family":
+        if spec.instance_class not in _GENERATED.values():
             return "no generator produces set families; bench covers graph problems"
-        if (spec.loader == "digraph") != (args.kind in ("tournament", "functional")):
-            return f"generator kind '{args.kind}' does not feed a {spec.loader} algorithm"
-        return None
+        if spec.instance_class is not _GENERATED[args.kind]:
+            name = _FORMATS[spec.instance_class].name
+            return f"generator kind '{args.kind}' does not feed a {name} algorithm"
 
     spec = _lookup(args, refuse)
     if args.runs < 1:
@@ -662,7 +660,7 @@ def build_parser():
     validate.set_defaults(func=cmd_validate)
 
     gen = commands.add_parser("gen")
-    gen.add_argument("kind", choices=_GEN_KINDS)
+    gen.add_argument("kind", choices=_GENERATED)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, default=None)
     gen.add_argument("--seed", type=int, default=0)
@@ -671,7 +669,7 @@ def build_parser():
     bench = commands.add_parser("bench")
     bench.add_argument("--problem", required=True, choices=_PROBLEMS)
     bench.add_argument("--algorithm", required=True, choices=_ALGORITHMS)
-    bench.add_argument("--kind", required=True, choices=_GEN_KINDS)
+    bench.add_argument("--kind", required=True, choices=_GENERATED)
     bench.add_argument("--n", type=int, required=True)
     _add_solver_flags(bench)
     bench.add_argument("--runs", type=int, default=3)

@@ -34,6 +34,14 @@ class StructureKind(Enum):
     FUNCTIONAL = "functional"
 
 
+# The instance class each kind reads.
+INSTANCE_CLASS = {
+    **{kind: GraphInstance for kind in (*ProblemKind, *StructureKind)},
+    ProblemKind.HS: SetFamilyInstance,
+    StructureKind.TOURNAMENT: DigraphInstance,
+    StructureKind.FUNCTIONAL: DigraphInstance,
+}
+
 GRAPH_CAP = 16
 FAMILY_CAP = 12
 
@@ -48,9 +56,8 @@ def exact_opt(kind, instance):
     for families) raise :class:`RefusalError`.
     """
     kind = ProblemKind(kind)
-    hs = kind is ProblemKind.HS
-    require_instance(instance, SetFamilyInstance if hs else GraphInstance, kind.value)
-    limit = FAMILY_CAP if hs else GRAPH_CAP
+    require_instance(instance, INSTANCE_CLASS[kind], kind.value)
+    limit = FAMILY_CAP if kind is ProblemKind.HS else GRAPH_CAP
     if instance.n > limit:
         raise RefusalError(
             f"exact {kind.value} refuses n={instance.n} above cap {limit}"
@@ -206,7 +213,6 @@ def degeneracy(g):
 
 def _validate_structure(kind, instance, parameter):
     if kind is StructureKind.TREE:
-        require_instance(instance, GraphInstance, kind.value)
         if instance.n == 0:
             return False, ("edge-count", 0)
         if instance.m != instance.n - 1:
@@ -217,13 +223,11 @@ def _validate_structure(kind, instance, parameter):
             return False, ("disconnected", missing)
         return True, None
     if kind is StructureKind.C4_FREE:
-        require_instance(instance, GraphInstance, kind.value)
         cyc = find_c4(instance)
         if cyc is not None:
             return False, ("four-cycle", cyc)
         return True, None
     if kind is StructureKind.DEGENERATE:
-        require_instance(instance, GraphInstance, kind.value)
         if parameter is None:
             raise DomainError("degenerate check needs the bound d")
         got = degeneracy(instance)
@@ -231,7 +235,6 @@ def _validate_structure(kind, instance, parameter):
             return False, ("degeneracy", got)
         return True, None
     if kind is StructureKind.REGULAR:
-        require_instance(instance, GraphInstance, kind.value)
         if parameter is None:
             parameter = instance.degree(1) if instance.n else 0
         for v in range(1, instance.n + 1):
@@ -239,19 +242,15 @@ def _validate_structure(kind, instance, parameter):
                 return False, ("degree-mismatch", (v, instance.degree(v)))
         return True, None
     if kind is StructureKind.TOURNAMENT:
-        require_instance(instance, DigraphInstance, kind.value)
         for u, v in itertools.combinations(range(1, instance.n + 1), 2):
             count = instance.has_arc(u, v) + instance.has_arc(v, u)
             if count != 1:
                 return False, ("pair-arcs", (u, v, count))
         return True, None
-    if kind is StructureKind.FUNCTIONAL:
-        require_instance(instance, DigraphInstance, kind.value)
-        for v in range(1, instance.n + 1):
-            if instance.out_degree(v) > 1:
-                return False, ("out-degree", (v, instance.out_degree(v)))
-        return True, None
-    raise DomainError(f"unknown structure kind {kind!r}")
+    for v in range(1, instance.n + 1):  # FUNCTIONAL
+        if instance.out_degree(v) > 1:
+            return False, ("out-degree", (v, instance.out_degree(v)))
+    return True, None
 
 
 def validate(kind, instance, candidate=None, parameter=None):
@@ -262,14 +261,13 @@ def validate(kind, instance, candidate=None, parameter=None):
     where ``witness`` is None or a small tagged tuple locating the failure.
     """
     try:
-        pk = ProblemKind(kind)
+        kind = ProblemKind(kind)
     except ValueError:
-        pk = None
-    if pk is not None:
-        if candidate is None:
-            raise DomainError(f"{pk.value} validation needs a candidate")
-        cls = SetFamilyInstance if pk is ProblemKind.HS else GraphInstance
-        require_instance(instance, cls, pk.value)
-        return _validate_problem(pk, instance, candidate)
-    sk = StructureKind(kind)
-    return _validate_structure(sk, instance, parameter)
+        kind = StructureKind(kind)
+    problem = isinstance(kind, ProblemKind)
+    if problem and candidate is None:
+        raise DomainError(f"{kind.value} validation needs a candidate")
+    require_instance(instance, INSTANCE_CLASS[kind], kind.value)
+    if problem:
+        return _validate_problem(kind, instance, candidate)
+    return _validate_structure(kind, instance, parameter)

@@ -19,6 +19,8 @@ line being read; as a constructor raises at the first bad item, of two
 faults in a text the one met first in reading order is reported.
 """
 
+from collections import namedtuple
+
 from .errors import DomainError, ParseError
 
 
@@ -58,10 +60,45 @@ def _fields(lineno, tokens, tag, count, what):
                 ) from None
 
 
-class GraphInstance:
+# A text format: a header ``<tag> <header fields>``, then one line
+# ``<line_tag> <ints>`` (``arity`` of them, any number if None) per item
+# of the instance's ``items`` attribute; ``kind`` and ``what`` name the
+# header and the lines in parse errors.  The second header field is the
+# line count ``m``; the other fields, then the items, are the
+# constructor's arguments in order, and they are the instance's identity.
+_Format = namedtuple("_Format", "kind tag header line_tag what arity items")
+
+
+class _Instance:
+    """Equality, hashing and repr for the instance classes, over the
+    fields their ``_format`` names."""
+
+    __slots__ = ()
+
+    def _key(self):
+        header = self._format.header
+        return tuple(getattr(self, f) for f in (header[0], *header[2:], self._format.items))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _Instance)
+            and other._format is self._format
+            and self._key() == other._key()
+        )
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)}" for f in self._format.header)
+        return f"{type(self).__name__}({fields})"
+
+
+class GraphInstance(_Instance):
     """Undirected simple graph with input-ordered adjacency."""
 
     __slots__ = ("n", "m", "edges", "_adj")
+    _format = _Format("graph", "p", ("n", "m"), "e", "edge", 2, "edges")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -111,24 +148,13 @@ class GraphInstance:
     def max_degree(self):
         return max((len(a) for a in self._adj[1:]), default=0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GraphInstance)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"GraphInstance(n={self.n}, m={self.m})"
 
 
-class DigraphInstance:
+class DigraphInstance(_Instance):
     """Directed graph: no self-loops, no repeated arcs, 2-cycles allowed."""
 
     __slots__ = ("n", "m", "arcs", "_out", "_in", "_arc_set")
+    _format = _Format("digraph", "q", ("n", "m"), "a", "arc", 2, "arcs")
 
     def __init__(self, n, arcs):
         if n < 0:
@@ -191,21 +217,9 @@ class DigraphInstance:
                 edges.append((u, v))
         return tuple(edges)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DigraphInstance)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.arcs))
-
-    def __repr__(self):
-        return f"DigraphInstance(n={self.n}, m={self.m})"
 
 
-class SetFamilyInstance:
+class SetFamilyInstance(_Instance):
     """Ordered family of small subsets of a ground set 1..n.
 
     ``d`` is the declared maximum set size; every set has 1..d distinct
@@ -214,6 +228,7 @@ class SetFamilyInstance:
     """
 
     __slots__ = ("n", "m", "d", "sets", "_containing")
+    _format = _Format("family", "h", ("n", "m", "d"), "s", "set", None, "sets")
 
     def __init__(self, n, d, sets):
         if n < 0:
@@ -270,89 +285,65 @@ class SetFamilyInstance:
     def max_multiplicity(self):
         return max((len(c) for c in self._containing[1:]), default=0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetFamilyInstance)
-            and self.n == other.n
-            and self.d == other.d
-            and self.sets == other.sets
-        )
 
-    def __hash__(self):
-        return hash((self.n, self.d, self.sets))
-
-    def __repr__(self):
-        return f"SetFamilyInstance(n={self.n}, m={self.m}, d={self.d})"
-
-
-def _header(stream, tag, fields, kind):
-    """The header's integers, after a one-item list holding its line
-    number: the cell :func:`_body` keeps at the line being read."""
+def _load(cls, text):
+    """Parse ``text`` in the format of ``cls`` into a ``cls``."""
+    form = cls._format
+    stream = _tokenize(text)
     try:
         lineno, tokens = next(stream)
     except StopIteration:
-        raise ParseError(1, f"empty input, expected {kind} header") from None
-    values = _fields(lineno, tokens, tag, fields, f"{kind} header")
-    # the line count is the one header field no constructor sees
-    if values[1] < 0:
-        raise ParseError(lineno, f"negative line count {values[1]} in {kind} header")
-    return [lineno], values
+        raise ParseError(1, f"empty input, expected {form.kind} header") from None
+    values = _fields(lineno, tokens, form.tag, len(form.header), f"{form.kind} header")
+    m = values[1]  # the line count is the one header field no constructor sees
+    if m < 0:
+        raise ParseError(lineno, f"negative line count {m} in {form.kind} header")
+    tag, arity, what = form.line_tag, form.arity, form.what
+
+    def lines():
+        nonlocal lineno  # the line being read, for a constructor's DomainError
+        count = 0
+        for lineno, tokens in stream:
+            if count == m:
+                raise ParseError(lineno, f"extra {what} line beyond declared {m}")
+            count += 1
+            yield _fields(lineno, tokens, tag, arity, f"{what} line")
+        if count < m:
+            raise ParseError(lineno + 1, f"expected {m} {what} lines, found {count}")
+
+    try:
+        return cls(values[0], *values[2:], lines())
+    except DomainError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
-def _body(stream, where, m, tag, what, arity=None):
-    """Yield the integers of each of the ``m`` body lines, first storing
-    the line's number in ``where[0]``."""
-    lineno, count = where[0], 0
-    for lineno, tokens in stream:
-        where[0] = lineno
-        if count == m:
-            raise ParseError(lineno, f"extra {what} line beyond declared {m}")
-        count += 1
-        yield _fields(lineno, tokens, tag, arity, f"{what} line")
-    if count < m:
-        raise ParseError(lineno + 1, f"expected {m} {what} lines, found {count}")
+def _serialize(cls, inst):
+    """The text of ``inst`` in the format of ``cls``."""
+    form = cls._format
+    lines = [" ".join([form.tag, *(str(getattr(inst, name)) for name in form.header)])]
+    lines.extend(" ".join([form.line_tag, *map(str, item)]) for item in getattr(inst, form.items))
+    return "\n".join(lines) + "\n"
 
 
 def load_graph(text):
-    stream = _tokenize(text)
-    where, (n, m) = _header(stream, "p", 2, "graph")
-    try:
-        return GraphInstance(n, _body(stream, where, m, "e", "edge", 2))
-    except DomainError as exc:
-        raise ParseError(where[0], str(exc)) from None
+    return _load(GraphInstance, text)
 
 
 def load_digraph(text):
-    stream = _tokenize(text)
-    where, (n, m) = _header(stream, "q", 2, "digraph")
-    try:
-        return DigraphInstance(n, _body(stream, where, m, "a", "arc", 2))
-    except DomainError as exc:
-        raise ParseError(where[0], str(exc)) from None
+    return _load(DigraphInstance, text)
 
 
 def load_family(text):
-    stream = _tokenize(text)
-    where, (n, m, d) = _header(stream, "h", 3, "family")
-    try:
-        return SetFamilyInstance(n, d, _body(stream, where, m, "s", "set"))
-    except DomainError as exc:
-        raise ParseError(where[0], str(exc)) from None
+    return _load(SetFamilyInstance, text)
 
 
 def serialize_graph(g):
-    lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return _serialize(GraphInstance, g)
 
 
 def serialize_digraph(g):
-    lines = [f"q {g.n} {g.m}"]
-    lines.extend(f"a {u} {v}" for u, v in g.arcs)
-    return "\n".join(lines) + "\n"
+    return _serialize(DigraphInstance, g)
 
 
 def serialize_family(f):
-    lines = [f"h {f.n} {f.m} {f.d}"]
-    lines.extend("s " + " ".join(str(e) for e in s) for s in f.sets)
-    return "\n".join(lines) + "\n"
+    return _serialize(SetFamilyInstance, f)

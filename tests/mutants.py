@@ -46,6 +46,7 @@ STAGGERED = "src/romapprox/staggered.py"
 KERNELS = "src/romapprox/kernels.py"
 TREEFUNC = "src/romapprox/treefunc.py"
 HASHING = "src/romapprox/hashing.py"
+INSTANCES = "src/romapprox/instances.py"
 
 MUTANTS = [
     (
@@ -153,6 +154,120 @@ MUTANTS = [
         "score < best[0]",
         "score <= best[0]",
         "a hash sweep tie goes to the last best member, not the smallest (a, b)",
+    ),
+    (
+        INSTANCES,
+        "meter.access()\n        return len(self._adj[v])",
+        "pass\n        return len(self._adj[v])",
+        "a metered degree query reads its word uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access(len(self._adj[v]))",
+        "pass",
+        "a metered adjacency list is read uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access(len(self._out[v]))",
+        "pass",
+        "a metered out-neighbour list is read uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access(len(self._in[v]))",
+        "pass",
+        "a metered in-neighbour list is read uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access(len(self.sets[j - 1]))",
+        "pass",
+        "a metered set is read uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access(len(self._containing[e]))",
+        "pass",
+        "a metered list of an element's sets is read uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access()\n        c = self._containing[e]",
+        "pass\n        c = self._containing[e]",
+        "a metered rank-i set query reads its word uncharged",
+    ),
+    (
+        HASHING,
+        "meter.charge_primitive()",
+        "pass",
+        "the prime search stops charging its trial divisions",
+    ),
+    (
+        HASHING,
+        "meter.tick_pass(self.p)",
+        "pass",
+        "a hash sweep stops counting a pass per member",
+    ),
+    (
+        HASHING,
+        "meter.access(sum(reads))",
+        "pass",
+        "a hash sweep stops charging the words its members read",
+    ),
+    (
+        LAYERED,
+        "view.meter.access()\n        around = view.base.neighbors(v)",
+        "pass\n        around = view.base.neighbors(v)",
+        "a stage subgraph's out query stops charging the rank-i word it reads",
+    ),
+    (
+        LAYERED,
+        "meter.access(2)",
+        "pass",
+        "a stage subgraph's children query stops charging a neighbour's two words",
+    ),
+    (
+        LAYERED,
+        "meter.access()\n                if w < v and live(depth, w)",
+        "pass\n                if w < v and live(depth, w)",
+        "an audited independent stage stops charging the neighbours it reads",
+    ),
+    (
+        LAYERED,
+        "view.meter.tick_pass()\n        if view.memoized:",
+        "pass\n        if view.memoized:",
+        "bd_maximal_is stops counting a pass per stage",
+    ),
+    (
+        LAYERS,
+        "meter.access()\n            if live(i, w):",
+        "pass\n            if live(i, w):",
+        "a graph level stops charging the neighbours whose liveness it asks",
+    ),
+    (
+        LAYERS,
+        "view.meter.tick_pass()\n    ids = range(",
+        "pass\n    ids = range(",
+        "enumerate_stage stops counting its pass",
+    ),
+    (
+        TREEFUNC,
+        "meter.charge_primitive(steps)",
+        "pass",
+        "a metered tour run stops charging its steps",
+    ),
+    (
+        TREEFUNC,
+        "meter.access(probes)",
+        "pass",
+        "a metered tour run stops charging its probes",
+    ),
+    (
+        TREEFUNC,
+        "meter.tick_pass()\n    meter.alloc(words)",
+        "pass\n    meter.alloc(words)",
+        "a tree or functional output stream stops counting its pass",
     ),
 ]
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from romapprox import exact
+from romapprox import cli, exact
 from romapprox.cli import SOLVERS, main
 from romapprox.exact import StructureKind
-from romapprox.instances import load_digraph, load_graph
+from romapprox.instances import DigraphInstance, GraphInstance, load_digraph, load_graph
 from romapprox.staggered import FORBIDDEN_CATALOG, TOURNAMENT_PROBLEMS
 
 TRI = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -474,8 +474,8 @@ def test_deletion_rows_come_from_the_pattern_catalog():
         spec = SOLVERS[(problem, "staggered")]
         assert spec.name == "del_pi_approx"
         directed = problem in TOURNAMENT_PROBLEMS
-        assert (spec.loader, spec.structure) == (
-            ("digraph", StructureKind.TOURNAMENT) if directed else ("graph", None)
+        assert (spec.instance_class, spec.structure) == (
+            (DigraphInstance, StructureKind.TOURNAMENT) if directed else (GraphInstance, None)
         )
     tournament_rows = {
         pair for pair, spec in SOLVERS.items()
@@ -587,3 +587,26 @@ def test_degenerate_understated_d_hits_round_limit(tmp_path, capsys, mode):
     assert code == 1
     assert captured.out == ""
     assert "denser than 1-degenerate" in captured.err
+
+
+def test_solve_judges_a_deletion_solve_once(tmp_path, capsys, monkeypatch):
+    # the report's "valid" and --compare-exact's optimum share one
+    # forbidden family; del_pi_approx builds its own from staggered's name
+    calls = []
+    real = cli.forbidden_family
+
+    def counted(inst, problem):
+        calls.append(problem)
+        return real(inst, problem)
+
+    monkeypatch.setattr(cli, "forbidden_family", counted)
+    ring = [(v, v % 10 + 1) for v in range(1, 11)] + [(1, 3), (4, 6), (7, 9)]
+    text = f"p 10 {len(ring)}\n" + "".join(f"e {u} {v}\n" for u, v in ring)
+    code, out = run(
+        capsys, "solve", "--problem", "cluster-vd", "--algorithm", "staggered",
+        "--epsilon", "1.0", "--input", write(tmp_path, "in.txt", text), "--compare-exact",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["valid"] is True and report["opt"] >= 1
+    assert calls == ["cluster-vd"]

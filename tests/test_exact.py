@@ -89,6 +89,43 @@ def test_kind_instance_mismatch():
         exact_opt(ProblemKind.HS, path(3))
 
 
+# The instance class each kind reads, written out here so the table in
+# ``exact`` is checked, not echoed.
+READS = {
+    "vc": "GraphInstance",
+    "is": "GraphInstance",
+    "maximal-is": "GraphInstance",
+    "ds": "GraphInstance",
+    "hs": "SetFamilyInstance",
+    "tree": "GraphInstance",
+    "c4free": "GraphInstance",
+    "degenerate": "GraphInstance",
+    "regular": "GraphInstance",
+    "tournament": "DigraphInstance",
+    "functional": "DigraphInstance",
+}
+ONE_OF_EACH = (
+    GraphInstance(2, [(1, 2)]),
+    DigraphInstance(2, [(1, 2)]),
+    SetFamilyInstance(2, 1, [(1,)]),
+)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in (*ProblemKind, *StructureKind)])
+def test_wrong_instance_class_names_kind_and_class(kind):
+    calls = [lambda inst: validate(kind, inst, candidate=[1], parameter=1)]
+    if kind in {k.value for k in ProblemKind}:
+        calls.append(lambda inst: exact_opt(kind, inst))
+    wrong = [inst for inst in ONE_OF_EACH if type(inst).__name__ != READS[kind]]
+    assert len(wrong) == 2
+    for inst in wrong:
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call(inst)
+            assert type(info.value) is DomainError
+            assert str(info.value) == f"{kind} needs a {READS[kind]}"
+
+
 def test_validate_problem_witnesses():
     g = path(4)
     ok, witness = validate(ProblemKind.VC, g, candidate=(2,))

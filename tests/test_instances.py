@@ -262,3 +262,25 @@ def test_neighbors_and_has_edge_match_edges(g):
     for v in ids:
         assert {frozenset((v, w)) for w in g.neighbors(v)} == {e for e in edges if v in e}
     assert all(g.has_edge(u, v) == (frozenset((u, v)) in edges) for u in ids for v in ids)
+
+
+def test_instance_classes_share_identity_repr_and_text_format():
+    pairs = [(1, 2), (3, 2)]
+    cases = [
+        (GraphInstance(3, pairs), load_graph, serialize_graph,
+         "p 3 2\ne 1 2\ne 3 2\n", "GraphInstance(n=3, m=2)"),
+        (DigraphInstance(3, pairs), load_digraph, serialize_digraph,
+         "q 3 2\na 1 2\na 3 2\n", "DigraphInstance(n=3, m=2)"),
+        (SetFamilyInstance(3, 2, [(1, 2), (3,)]), load_family, serialize_family,
+         "h 3 2 2\ns 1 2\ns 3\n", "SetFamilyInstance(n=3, m=2, d=2)"),
+    ]
+    for inst, load, serialize, text, shown in cases:
+        assert serialize(inst) == text
+        back = load(text)
+        assert back == inst and not back != inst and hash(back) == hash(inst)
+        assert repr(inst) == repr(back) == shown
+    graph, digraph = cases[0][0], cases[1][0]
+    assert graph != digraph and digraph != graph
+    assert len({graph, digraph}) == 2
+    assert GraphInstance(3, pairs[:1]) != graph
+    assert SetFamilyInstance(3, 3, [(1, 2), (3,)]) != cases[2][0]
