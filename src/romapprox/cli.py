@@ -324,7 +324,12 @@ def _lookup(args, refuse=None):
 def _run(spec, inst, args, compare=False):
     """Run one solver on a fresh meter and time its whole output stream;
     returns the report fields, or None for a NO verdict.  ``compare`` adds
-    the judged instance's ``opt`` (IS's for MAXIMAL_IS) and the ``ratio``."""
+    the judged instance's ``opt`` (IS's for MAXIMAL_IS) and the ``ratio``;
+    a judged instance above the exact cap is refused before the solve."""
+    judged = spec.judge(inst)
+    target = ProblemKind.IS if spec.kind is ProblemKind.MAXIMAL_IS else spec.kind
+    if compare:
+        exact.refuse_above_cap(target, judged)
     meter = WorkspaceMeter()
     start = time.perf_counter()
     sol = spec.run(inst, args, meter)
@@ -332,7 +337,6 @@ def _run(spec, inst, args, compare=False):
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if sol is None:
         return None
-    judged = spec.judge(inst)
     result = {
         "solution": sol,
         "size": len(sol),
@@ -341,7 +345,6 @@ def _run(spec, inst, args, compare=False):
         "runtime_ms": runtime_ms,
     }
     if compare:
-        target = ProblemKind.IS if spec.kind is ProblemKind.MAXIMAL_IS else spec.kind
         _, opt = exact.exact_opt(target, judged)
         result["opt"] = opt
         result["ratio"] = _ratio(len(sol), opt, target is ProblemKind.IS)

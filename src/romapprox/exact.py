@@ -46,6 +46,16 @@ GRAPH_CAP = 16
 FAMILY_CAP = 12
 
 
+def refuse_above_cap(kind, instance):
+    """Raise :class:`RefusalError` when :func:`exact_opt` would refuse."""
+    kind = ProblemKind(kind)
+    limit = FAMILY_CAP if kind is ProblemKind.HS else GRAPH_CAP
+    if instance.n > limit:
+        raise RefusalError(
+            f"exact {kind.value} refuses n={instance.n} above cap {limit}"
+        )
+
+
 def exact_opt(kind, instance):
     """Exact optimum for ``kind`` on a small instance.
 
@@ -57,11 +67,7 @@ def exact_opt(kind, instance):
     """
     kind = ProblemKind(kind)
     require_instance(instance, INSTANCE_CLASS[kind], kind.value)
-    limit = FAMILY_CAP if kind is ProblemKind.HS else GRAPH_CAP
-    if instance.n > limit:
-        raise RefusalError(
-            f"exact {kind.value} refuses n={instance.n} above cap {limit}"
-        )
+    refuse_above_cap(kind, instance)
     n = instance.n
     ids = range(1, n + 1)
     sizes = range(n, -1, -1) if kind is ProblemKind.IS else range(n + 1)

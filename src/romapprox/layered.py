@@ -271,6 +271,18 @@ def bd_maximal_is(g, meter=None, space_audit=False):
                 yield v
 
 
+def _is_kept(view, v):
+    """Does the audited :func:`bd_is_view` keep v?  v dies at exactly
+    one stage, kept or not, so the walk asks v's stages upward and ends
+    at that one; the sweep stage deletes every survivor."""
+    for i in range(1, view.depth + 1):
+        if view.stages[i - 1]._kept(view.level(i - 1), v):
+            return True
+        if not view._live(i, v, i - 1):
+            return False
+    return False
+
+
 def _intersection_edges(f, positions):
     """Edges (a, b), a < b, in ascending order, of the intersection graph
     of the sets at ascending ``positions`` (vertex a is positions[a-1]).
@@ -294,8 +306,11 @@ class _HsStage(StagePredicate):
     The stage's candidate sets are the live sets that are some live
     element's i-th set; choices are a maximal independent set of their
     intersection graph, so chosen sets never share elements.  The inner
-    ``bd_maximal_is`` reads the stage count off that graph: its own max
-    degree, at most d(δ-1), plus the sweep stage.
+    ``bd_is_view`` reads the stage count off that graph: its own max
+    degree, at most d(δ-1), plus the sweep stage.  ``deletions`` streams
+    the whole inner ``bd_maximal_is``; the audited ``check`` asks the
+    inner view only about e's own candidate sets, at most δ of them, and
+    each only up to the inner stage that deletes it.
     """
 
     def __init__(self, i):
@@ -312,7 +327,17 @@ class _HsStage(StagePredicate):
         return positions
 
     def check(self, level, e):
-        return e in self.deletions(level)
+        """Is one of e's own candidate sets kept (``_is_kept``)?"""
+        meter = level.view.meter
+        mine = level.base.sets_containing(e, meter)
+        positions = self._stage_sets(level)
+        own = [p for p, j in enumerate(positions, 1) if j in mine]
+        if not own:
+            return False
+        edges = _intersection_edges(level.base, positions)
+        igraph = GraphInstance(len(positions), edges)
+        inner = bd_is_view(igraph, meter=meter, memoized=False)
+        return any(_is_kept(inner, p) for p in own)
 
     def deletions(self, level):
         positions = self._stage_sets(level)
@@ -342,12 +367,17 @@ def bounded_mult_hs(f, meter=None, space_audit=False):
     element, so charging its at most d elements to that optimum element
     gives the factor.
 
-    An audited solve exceeds the ``(δ+1) * WORDS_PER_LEVEL`` frame bound
-    of ``layers.py``: each hitting stage's ``check`` holds a nested
-    audited ``bd_maximal_is`` view, up to d(δ-1) + 2 more frames.  On
-    the k-petal sunflower (sets (1, v), d = 2, δ = k) the charged peak
-    is 88 / 148 / 204 words at k = 2 / 3 / 4, against 96 / 128 / 160;
-    ROADMAP item 5 (nested layered views) is the fix.
+    An audited hitting stage's ``check`` asks a nested audited
+    ``bd_is_view`` about the element's own candidate sets only, each up
+    to the inner stage that deletes it.  Measured against the
+    ``(δ+1) * WORDS_PER_LEVEL`` frame bound of ``layers.py``: on the
+    k-petal sunflower (sets (1, v), d = 2, δ = k) the charged peak is
+    88 / 116 / 144 / 256 words at k = 2 / 3 / 4 / 8, against
+    96 / 128 / 160 / 288, and 60 seeded families with d = 3, n ≤ 8 and
+    multiplicity up to 3 stay within it too
+    (``test_bounded_mult_hs_modes_agree``).  That is measured, not
+    proved: the inner ``_kept`` recursion that ``bd_maximal_is``
+    describes still nests one frame per smaller live candidate.
     """
     view = hs_view(f, meter=meter, memoized=not space_audit)
     for i in range(1, view.depth + 1):

@@ -153,13 +153,24 @@ class FamilyLevel(_Level):
                 return None
         return members
 
-    def live_set_count_containing(self, e):
+    def live_sets_reach(self, e, bar):
+        """Do at least ``bar`` live sets contain e?
+
+        One charged read of e's set list, then each set's liveness in
+        order, stopping as soon as the answer is decided: once the count
+        reaches ``bar``, or once the sets left cannot bring it there (at
+        once when e lies in fewer than ``bar`` sets)."""
         view = self.view
+        sets = view.base.sets_containing(e, view.meter)
         count = 0
-        for j in view.base.sets_containing(e, view.meter):
+        left = len(sets)
+        for j in sets:
+            if count >= bar or count + left < bar:
+                break
+            left -= 1
             if self.live_members(j):
                 count += 1
-        return count
+        return count >= bar
 
     def ith_set_of(self, e, i):
         return self.view.base.ith_set_of(e, i, self.view.meter)

@@ -61,14 +61,16 @@ class EpsSchedule:
 
 
 class _FreqStage(StagePredicate):
-    """Deletes live elements hitting at least theta live sets."""
+    """Deletes live elements hitting at least theta live sets; the
+    audited ``check`` asks e's sets only until that is decided
+    (``FamilyLevel.live_sets_reach``)."""
 
     def __init__(self, j, theta):
         super().__init__(f"peel-round-{j}", words_budget=16)
         self.theta = theta
 
     def check(self, level, e):
-        return level.live_set_count_containing(e) >= self.theta - SLOP
+        return level.live_sets_reach(e, self.theta - SLOP)
 
     def deletions(self, level):
         """The live elements ``check`` deletes, ascending: each live set

@@ -18,7 +18,8 @@ failing test.  pytest does not collect this file: its name does not
 start with ``test_``.
 
 Left out as equivalent mutants: ``>=`` -> ``>`` against ``theta - SLOP``
-and ``>`` -> ``>=`` against ``kappa + SLOP`` in ``staggered.py``.  Each
+in a fast peeling round and ``>`` -> ``>=`` against ``kappa + SLOP`` in
+``staggered.py``.  Each
 compares a count, an integer, with a bar set 1e-9 off the power it
 guards, and an integer never equals a value 1e-9 away from an integer,
 so the two operators give the same answers.
@@ -69,9 +70,15 @@ MUTANTS = [
     ),
     (
         STAGGERED,
-        "live_set_count_containing(e) >= self.theta - SLOP",
-        "live_set_count_containing(e) >= self.theta + SLOP",
+        "live_sets_reach(e, self.theta - SLOP)",
+        "live_sets_reach(e, self.theta + SLOP)",
         "an audited peeling round spares elements whose live-set count is exactly theta",
+    ),
+    (
+        LAYERS,
+        "count + left < bar:",
+        "count + left + 1 < bar:",
+        "an audited live-set count gives up one set later than the sets left allow",
     ),
     (
         STAGGERED,
@@ -108,6 +115,12 @@ MUTANTS = [
         "j > len(rows)",
         "j >= len(rows)",
         "a retention table builds a reached set's row again, shifting every later row",
+    ),
+    (
+        LAYERED,
+        "if not view._live(i, v, i - 1):\n            return False",
+        "if not view._live(i, v, i - 1):\n            pass",
+        "an audited hitting stage's inner query walks on past its vertex's death stage",
     ),
     (
         LAYERED,

@@ -697,6 +697,22 @@ def random_family(rng, n, m, d):
     return sets
 
 
+def random_bounded_family(rng, n, m, d, delta):
+    """Up to m random sets of at most d elements, each element in at most
+    delta of them; stops early once every element is in delta sets."""
+    count = [0] * (n + 1)
+    sets = []
+    for _ in range(m):
+        free = [e for e in range(1, n + 1) if count[e] < delta]
+        if not free:
+            break
+        s = tuple(rng.sample(free, rng.randint(1, min(d, len(free)))))
+        for e in s:
+            count[e] += 1
+        sets.append(s)
+    return sets
+
+
 def random_functional_arcs(rng, n, loop_free_prob=0.15):
     arcs = []
     for v in range(1, n + 1):

@@ -50,6 +50,6 @@ def delete_element_min_live_id():
 
 def delete_uncovered_elements():
     def check(level, e):
-        return level.live_set_count_containing(e) == 0
+        return not level.live_sets_reach(e, 1)
 
     return StagePredicate("delete-uncovered", check, words_budget=8)

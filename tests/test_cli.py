@@ -70,6 +70,39 @@ def test_solve_compare_exact(tmp_path, capsys):
     assert (report["size"], report["opt"], report["ratio"]) == (0, 0, 1.0)
 
 
+def test_solve_compare_exact_refuses_before_solving(tmp_path, capsys, monkeypatch):
+    # the exact cap is known from the judged instance's n, so an input
+    # above it is refused with no solver call, even one that would say NO
+    calls = []
+    real = cli._Solver.run
+
+    def counted(spec, inst, args, meter):
+        calls.append(spec.name)
+        return real(spec, inst, args, meter)
+
+    monkeypatch.setattr(cli._Solver, "run", counted)
+    ring = "p 20 20\n" + "".join(f"e {v} {v % 20 + 1}\n" for v in range(1, 21))
+    code = main([
+        "solve", "--problem", "vc", "--algorithm", "bounded-degree",
+        "--input", write(tmp_path, "c20.gr", ring), "--compare-exact",
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (1, "", [])
+    assert f"exact vc refuses n=20 above cap {exact.GRAPH_CAP}" in captured.err
+    pairs = "h 14 7 2\n" + "".join(f"s {e} {e + 1}\n" for e in range(1, 14, 2))
+    argv = [
+        "solve", "--problem", "hs", "--algorithm", "staggered", "--epsilon", "1.0",
+        "--k", "0", "--input", write(tmp_path, "pairs.hg", pairs),
+    ]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NO"
+    assert calls == ["hs_bounded_k"]
+    code = main(argv + ["--compare-exact"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (1, "", ["hs_bounded_k"])
+    assert f"exact hs refuses n=14 above cap {exact.FAMILY_CAP}" in captured.err
+
+
 def test_solve_report_keys_without_compare(tmp_path, capsys):
     path = write(tmp_path, "tri.gr", TRI)
     code, out = run(

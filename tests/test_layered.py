@@ -301,6 +301,21 @@ def test_bounded_mult_hs_modes_agree():
         ]
         f = SetFamilyInstance(n, 2, sets)
         assert list(bounded_mult_hs(f)) == list(bounded_mult_hs(f, space_audit=True))
+    # d = 3 and multiplicity up to 3, where an audited hitting stage's
+    # inner independent-set queries reach their deepest; every one of
+    # these seeded families also stays within the frame bound
+    deepest = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        sets = oracles.random_bounded_family(rng, n, rng.randint(0, 10), 3, 3)
+        f = SetFamilyInstance(n, 3, sets)
+        deepest += f.max_multiplicity() == 3
+        audited, snap = with_meter(
+            lambda meter: list(bounded_mult_hs(f, meter=meter, space_audit=True))
+        )
+        assert audited == list(bounded_mult_hs(f))
+        assert snap.charged_peak <= (f.max_multiplicity() + 1) * WORDS_PER_LEVEL
+    assert deepest
 
 
 def test_modes_agree_on_empty_inputs():
@@ -328,17 +343,16 @@ def test_modes_agree_on_a_hub_star_and_a_sunflower():
     petals = [(1, v) for v in range(2, 6)]
     f = SetFamilyInstance(5, 2, petals)
     delta = hs_view(f).depth
-    # A hitting stage's check runs an audited bd_maximal_is on the
-    # stage's intersection graph.  All delta petals share element 1, so
-    # that graph is K_delta, of max degree delta - 1, and the inner view
-    # holds up to (delta - 1) + 2 more frames: the d(delta-1) + 2 of
-    # bounded_mult_hs's docstring, which says why an audited solve
-    # exceeds the (delta+1) * WORDS_PER_LEVEL frame bound.
+    # A hitting stage's check asks an audited bd_is_view over the stage's
+    # intersection graph about the element's own sets only, each up to
+    # the inner stage that deletes it.  All delta petals share element
+    # 1, so that graph is K_delta; the solve stays within the
+    # (delta+1) * WORDS_PER_LEVEL frame bound of the outer view.
     got = {}
     for solve, base, levels in (
         (bd_vc_2approx, g, bd_vc_view(g).depth + 1),
         (bd_maximal_is, g, bd_is_view(g).depth + 1),
-        (bounded_mult_hs, f, delta + 1 + (delta - 1) + 2),
+        (bounded_mult_hs, f, delta + 1),
     ):
         audited, snap = with_meter(
             lambda meter: list(solve(base, meter=meter, space_audit=True))
@@ -369,12 +383,20 @@ def test_hs_view_checks():
 
 @pytest.mark.parametrize(
     "k, peak, accesses, passes",
-    [(2, 88, 796, 19), (3, 148, 17_916, 99), (4, 204, 143_756, 390)],
+    [
+        (2, 88, 487, 2),
+        (3, 116, 3_891, 3),
+        (4, 144, 15_382, 4),
+        (8, 256, 481_036, 8),
+    ],
 )
 def test_audited_hs_meter_on_a_sunflower(k, peak, accesses, passes):
     # k sets (1, v) sharing the core element 1: d = 2, delta = k.  Only
-    # stage 1 has candidates, and their intersection graph is K_k, so
-    # its inner maximal independent set runs k stages.
+    # stage 1 has candidates, and their intersection graph is K_k.  An
+    # element query asks the inner maximal independent set about its own
+    # sets only, one stage at a time up to the stage that deletes each,
+    # so the charged peak stays within the (delta+1)-level frame bound
+    # and the only passes are the k outer stage streams.
     f = SetFamilyInstance(k + 1, 2, [(1, v) for v in range(2, k + 2)])
     got, snap = with_meter(
         lambda meter: list(bounded_mult_hs(f, meter=meter, space_audit=True))
@@ -385,6 +407,7 @@ def test_audited_hs_meter_on_a_sunflower(k, peak, accesses, passes):
         accesses,
         passes,
     )
+    assert snap.charged_peak <= (k + 1) * WORDS_PER_LEVEL
 
 
 def _all_pairs_edges(f, positions):

@@ -11,6 +11,7 @@ from romapprox.layers import LayeredFamilyView
 from romapprox.meter import with_meter
 from romapprox.staggered import (
     FORBIDDEN_CATALOG,
+    SLOP,
     EpsSchedule,
     _FreqStage,
     del_pi_approx,
@@ -90,7 +91,7 @@ def test_hs_bounded_frozen():
         hs_bounded_k(f, -1, 1)
 
 
-@pytest.mark.parametrize("space_audit, accesses", [(True, 6187), (False, 93)])
+@pytest.mark.parametrize("space_audit, accesses", [(True, 922), (False, 93)])
 def test_hs_bounded_meter_pinned(space_audit, accesses):
     # Each round asks only the previous round's survivors, stopping past
     # its cap, and the last round's survivors are the tail: no set is
@@ -124,10 +125,14 @@ def test_peel_round_cap_admits_exactly_kappa_survivors(space_audit):
 
 def test_fast_peeling_deletions_match_check():
     # Every fast peeling stage deletes exactly the live elements its
-    # audited check deletes, ascending: duplicate sets count once each,
-    # and elements in no set (ids above the sets' range) never go.
+    # audited check deletes, ascending, and both match a full count on
+    # the test side: the sets containing e whose elements all survive
+    # the fast view's recorded stages, against theta - SLOP.  Duplicate
+    # sets count once each, elements in no set (ids above the sets'
+    # range) never go, and thetas also take the family's
+    # multiplicities, so some elements sit exactly at theta.
     rng = oracles.make_rng("fast-peeling")
-    deleted = 0
+    deleted = at_theta = 0
     for _ in range(120):
         d = rng.randint(1, 5)
         used = rng.randint(d, 9)
@@ -135,17 +140,25 @@ def test_fast_peeling_deletions_match_check():
         sets += [rng.choice(sets)[::-1] for _ in range(rng.randint(0, 3) if sets else 0)]
         rng.shuffle(sets)
         f = SetFamilyInstance(used + rng.randint(0, 3), d, sets)
-        thetas = [rng.choice([1, 1.5, 2, 3, 3 ** 0.5, 4]) for _ in range(rng.randint(1, 4))]
+        mult = [len(f.sets_containing(e)) for e in range(1, f.n + 1)]
+        choices = [1, 1.5, 2, 3, 3 ** 0.5, 4, *(x for x in mult if x)]
+        thetas = [rng.choice(choices) for _ in range(rng.randint(1, 4))]
         stages = [_FreqStage(j, theta) for j, theta in enumerate(thetas, start=1)]
         view = LayeredFamilyView(f, stages, memoized=True)
+        audited = LayeredFamilyView(f, stages)
         for i, stage in enumerate(stages, start=1):
             level = view.level(i - 1)
-            want = [e for e in level.live_ids() if stage.check(level, e)]
+            live = set(level.live_ids())
+            counts = {e: sum(e in s and live.issuperset(s) for s in sets) for e in live}
+            want = [e for e in level.live_ids() if counts[e] >= stage.theta - SLOP]
+            below = audited.level(i - 1)
+            assert [e for e in level.live_ids() if stage.check(below, e)] == want
             assert stage.deletions(level) == want
             # filling stage i moves live_ids() to the level above
             assert list(view.stage_deletions(i)) == want
             deleted += len(want)
-    assert deleted
+            at_theta += sum(mult[e - 1] == stage.theta for e in live)
+    assert deleted and at_theta
 
 
 def test_hs_bounded_random():
