@@ -3,7 +3,9 @@ functional graphs.
 
 Everything here works against a tiny rooted-forest protocol:
 
-* ``out(v)``: the unique out-neighbor (the parent direction), None at roots,
+* ``out(v)``: the unique out-neighbor (the parent direction), None at
+  roots; an undirected view also takes ``out(v, child)``, a child of v
+  the caller knows, and skips that child's branch,
 * ``children(v, parent)``: v's children in a deterministic order, given
   v's parent as the caller holds it,
 * ``undirected``: True when ``children`` needs that parent (a tree's
@@ -37,21 +39,23 @@ path that answers each membership query with O(1) charged words by walking
 the subtree and re-deriving structure from the read-only input.  The
 walk holds its cursor's parent and grandparent, so descents and sibling
 steps ask the view for nothing; only a climb asks for one more ancestor.
-On a tree that ancestor comes from replaying the Euler tour of the
-queried vertex v's branch (v's subtree, v's parent masked).  v's parent
-itself comes from a race of v's branches, each with v masked, under
-doubling step budgets: the branch that meets the root, or the one left
-unfinished when all the others end, is the parent, so a leaf reads only
-its own list.  A whole-tree replay runs alongside the race and bounds
-it, so a query costs at most O(n) tour steps for the parent plus one
-branch replay per vertex it climbs to: O(n + s_v^2) tour steps for a
-subtree of s_v vertices.  Every tour, raced, replayed or public, runs
-through one function (:func:`_tour_run`): a run steps until it arrives
-at a target, spends a step budget or ends the tour, and charges its
-summed probes and primitive words once, when it stops; a tour's first
-run also tells from the root's list whether the tour is empty.  The
-public :func:`euler_tour` runs one step at a time, so its charges land
-before each yielded edge.
+On a tree every ancestor comes from one oracle (:func:`_race_parent`):
+a race of a vertex's branches, each with the vertex masked, under
+doubling step budgets.  The branch that meets the view's root, or the
+one left unfinished when all the others end, is the parent, so a leaf
+reads only its own list.  The queried vertex v's parent is raced on the
+whole tree; a climb races on v's branch (v's subtree, v's parent
+masked) and skips the branch of the child it leaves, so on a path each
+climb reads one list.  A replay of the view's tour runs alongside each
+race and bounds it: O(n) tour steps for v's parent and O(s_v) for each
+climb, O(n + s_v^2) tour steps for a subtree of s_v vertices.  Every
+tour, raced, replayed or public, runs through one function
+(:func:`_tour_run`): a run steps until it arrives at a target, spends a
+step budget or ends the tour, and charges its summed probes and
+primitive words once, when it stops; a tour's first run also tells from
+the root's list whether the tour is empty.  The public
+:func:`euler_tour` runs one step at a time, so its charges land before
+each yielded edge.
 """
 
 from functools import partial
@@ -61,19 +65,24 @@ from .exact import StructureKind, validate
 from .instances import GraphInstance
 from .meter import coerce_meter
 
-# Charged-word frames for the metered walks.  A tree membership query
-# first finds the queried vertex v's parent: the race holds v, the
+# Charged-word frames for the metered walks.  Every ancestor a tree
+# query needs comes from one race (``_race_parent``).  The race holds the
 # budget b, one step counter that every tour of a round shares, the
-# whole-tree replay's (cursor, arrival), the neighbor slot, the branch
-# tour's (cursor, arrival), the first unfinished neighbor and a flag for
-# a second one: 10 words, the peak, independent of n.  The walk then
-# holds v and its parent (the replay mask), the cursor with its parent
-# and grandparent, the verdict, and one (vertex, slot) pair that the
-# branch replay and the sibling scan take in turn: 8 words.  A tour run
-# holds its (cursor, arrival) and the list it read last, a reference into
-# the read-only input; its step count is the budget's counter, and the
-# probes and primitive words it sums, the first run's emptiness probes
-# included, are the meter's tally, charged when the run stops.
+# replay's (cursor, arrival), the neighbor slot, the branch tour's
+# (cursor, arrival), the first unfinished neighbor and a flag for a
+# second one: 9 words.  It reads its vertex, the skipped child, the
+# view's root and the view's mask where its caller holds them.  A tree
+# membership query first finds the queried vertex v's parent, holding
+# only v besides the race: 10 words.  The walk then holds v and its
+# parent (the view's mask), the cursor with its parent and grandparent,
+# and the verdict: 6 words.  A climb races for the grandparent's parent,
+# skipping the walk's parent: 6 + 9 = 15 words, the peak, independent of
+# n.  A descent or sibling step adds one (vertex, slot) pair to the
+# walk's 6.  A tour run holds its (cursor, arrival) and the list it read
+# last, a reference into the read-only input; its step count is the
+# budget's counter, and the probes and primitive words it sums, the
+# first run's emptiness probes included, are the meter's tally, charged
+# when the run stops.
 # A component query holds the queried vertex and, while it finds the
 # representative, Brent's four words (tortoise, hare, power, lam) and the
 # minimum and on-cycle flag of the hare's steps since the tortoise last
@@ -86,11 +95,12 @@ from .meter import coerce_meter
 # With the queried vertex that is 14 words, the peak, inside the 16
 # charged here and the 24- and 28-word stage frames that run it in
 # ``layered.py``.
-MACHINE_WORDS = 10
+MACHINE_WORDS = 15
 COMPONENT_WORDS = 16
-# Whole-tree replay steps per race step and neighbor in a parent search.
-# It caps the search at about (1 + 1 / REPLAY_PACE) times the replay
-# alone, which a path needs; a leaf or a bushy vertex settles by the race.
+# Replay steps per race step and neighbor in an ancestor search.  It caps
+# the search at about (1 + 2 / REPLAY_PACE) times the replay alone, which
+# a path rooted at its end needs for the queried vertex's parent; a leaf,
+# a bushy vertex or a climb with one other neighbor settles by the race.
 REPLAY_PACE = 4
 
 
@@ -177,29 +187,45 @@ def _tour_run(tree, meter, root, masked, cur, arrival, budget, target):
     return frm, cur, arrival, done
 
 
-def _race_parent(tree, meter, root, v):
-    """v's parent in the tree rooted at ``root``, v != root: the one
-    neighbor whose branch, v masked, holds the root.
+def _race_parent(tree, meter, root, v, skip, mask):
+    """v's parent in the branch rooted at ``root`` with ``mask`` deleted,
+    v != root: the one neighbor of v other than ``skip``, a child of v
+    the caller knows or None, whose branch, v masked, holds the root.
 
     Rounds double a budget b from 1.  Each round reads v's list and runs
-    every neighbor's branch tour, v masked, for at most b steps; a
+    every other neighbor's branch tour, v masked, for at most b steps; a
     neighbor that is the root, or whose branch meets it, is the parent,
     and so is the one branch left unfinished when every other one ends.
     The last neighbor is not raced when all the others have ended, so a
-    leaf costs one read of its list.  A whole-tree replay runs alongside,
+    leaf, or a vertex whose only other neighbor is ``skip``, costs one
+    read of its list.  A replay of the branch's tour runs alongside,
     ``REPLAY_PACE * deg(v) * b`` steps a round from where the last round
-    left it, and answers when it first arrives at v: the search costs at
-    most about (1 + 1 / REPLAY_PACE) times that replay alone.  The
-    replay's first run probes the root's degree, so that probe is charged
-    only in a round that advances the replay.
+    left it, and answers when it first arrives at v.  The replay's first
+    run probes the root's degree, so that probe is charged only in a
+    round that advances the replay.
+
+    With R the replay's steps up to that arrival, the search takes at
+    most S = R + 2 (R - 1) / REPLAY_PACE + deg(v) steps: the race's
+    rounds, at most deg(v) b steps each, sum to less than twice its
+    last, and the replay's earlier rounds, which did not arrive, ran
+    REPLAY_PACE times as many steps as the race's could.  A round that
+    does not answer leaves two branches unfinished after b steps each,
+    so there are at most log2(S + 2) rounds.  A step probes at most
+    Delta + 5 words, Delta the maximum degree; a round reads v's list
+    and probes at most 2 words of each branch it starts, and the
+    replay's start probes at most 2.  So the search reads at most
+    (Delta + 5) S + 3 deg(v) log2(S + 2) + 2 words.
     """
     cur, arrival = root, 0
     budget = 1
     while True:
         around = tree.neighbors(v, meter)
+        last = len(around) - (around[-1] == skip)
         first, second = None, False
         for slot, w in enumerate(around, 1):
-            if w == root or first is None and slot == len(around):
+            if w == skip:
+                continue
+            if w == root or first is None and slot == last:
                 return w
             _, met, _, ended = _tour_run(tree, meter, w, v, w, 0, budget, root)
             if met == root:
@@ -213,7 +239,7 @@ def _race_parent(tree, meter, root, v):
             return first
         pace = REPLAY_PACE * len(around) * budget
         frm, cur, arrival, done = _tour_run(
-            tree, meter, root, None, cur, arrival, pace, v
+            tree, meter, root, mask, cur, arrival, pace, v
         )
         if cur == v:
             return frm
@@ -229,11 +255,11 @@ class RootedTreeView:
     The branch is the whole tree when ``mask`` is None, else root's
     component once ``mask``, root's parent in an enclosing view, is
     deleted; ``out(root)`` is ``mask``.  No parent pointers are kept.
-    On the whole tree ``out(v)`` races v's branches against a replay of
-    the tour (:func:`_race_parent`); on a branch it replays the branch's
-    tour until it first arrives at v.  Both cost time but only cursor
-    state.  ``children`` reads v's list without a replay, given v's
-    parent.
+    For any other v, ``out(v, child)`` races v's branches against a
+    replay of the view's tour (:func:`_race_parent`), skipping the branch
+    of ``child`` when the caller knows that child of v.  It costs time
+    but only cursor state.  ``children`` reads v's list without a race,
+    given v's parent.
     """
 
     undirected = True
@@ -244,17 +270,10 @@ class RootedTreeView:
         self.meter = coerce_meter(meter)
         self.mask = mask
 
-    def out(self, v):
+    def out(self, v, child=None):
         if v == self.root:
             return self.mask
-        if self.mask is None:
-            return _race_parent(self.tree, self.meter, self.root, v)
-        frm, cur, _, _ = _tour_run(
-            self.tree, self.meter, self.root, self.mask, self.root, 0, None, v
-        )
-        if cur == v:
-            return frm
-        raise DomainError(f"vertex {v} not reached from root {self.root}")
+        return _race_parent(self.tree, self.meter, self.root, v, child, self.mask)
 
     def children(self, v, parent):
         for w in self.tree.neighbors(v, self.meter):
@@ -318,12 +337,14 @@ def _descend(view, v, parent, grandparent):
 
 def _climb(view, top, parent, grandparent):
     """The held triple after stepping up to ``parent``.  The walk ends at
-    ``top``, so nothing is asked for there."""
+    ``top``, so nothing is asked for there.  An undirected view is asked
+    for the grandparent's parent and told ``parent``, a child of the
+    grandparent that its race then skips."""
     if parent == top:
         return top, None, None
-    if grandparent is None:
-        grandparent = view.out(parent)
-    return parent, grandparent, view.out(grandparent) if view.undirected else None
+    if view.undirected:
+        return parent, grandparent, view.out(grandparent, parent)
+    return parent, view.out(parent) if grandparent is None else grandparent, None
 
 
 def subtree_cover_member(view, v):
@@ -545,14 +566,17 @@ def tree_min_vc(tree, meter=None, metered=False):
     The metered mode answers each vertex v by a subtree walk in
     ``MACHINE_WORDS`` charged words.  A race of v's branches against a
     replay of the whole tree's Euler tour finds v's parent: one read of
-    v's list for a leaf, at most about 1 + 1 / ``REPLAY_PACE`` whole-tree
-    replays for any vertex.  The walk then holds its cursor's parent and
-    grandparent, and each climb to a vertex below v's children finds the
-    next grandparent by replaying v's branch only.  A query costs
-    O(n + s_v^2) tour steps, s_v being v's subtree size, so the stream
-    costs O(n^2 + sum of s_v^2): at most about n^2 on a random tree,
-    still cubic on a path rooted at one end.  The structure check that rejects
-    non-trees runs before the audited region and is not charged.
+    v's list for a leaf, O(n) tour steps for any vertex.  The walk then
+    holds its cursor's parent and grandparent, and each climb finds the
+    next grandparent by the same race on v's branch, skipping the child
+    it leaves: O(s_v) tour steps, s_v being v's subtree size, and one
+    read of a list when the vertex climbed to has one other neighbor.  A
+    query costs O(n + s_v^2) tour steps, so the stream costs
+    O(n^2 + sum of s_v^2), and O(n^2) on a path, where each climb reads
+    one list: a path rooted at one end reads 18,418 / 74,107 / 297,062
+    accesses at n = 64 / 128 / 256, under 5 n^2.  The structure check
+    that rejects non-trees runs before the audited region and is not
+    charged.
     """
     yield from _tree_stream(tree, meter, metered, True)
 

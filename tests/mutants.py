@@ -278,6 +278,30 @@ MUTANTS = [
     ),
     (
         TREEFUNC,
+        "if w == skip:\n                continue",
+        "if w == skip:\n                pass",
+        "a climb races the branch of the child it leaves",
+    ),
+    (
+        TREEFUNC,
+        "REPLAY_PACE = 4",
+        "REPLAY_PACE = 8",
+        "an ancestor search's replay runs twice as many steps per race step",
+    ),
+    (
+        TREEFUNC,
+        "MACHINE_WORDS = 15",
+        "MACHINE_WORDS = 14",
+        "a metered tree stream charges one word less than its climb holds",
+    ),
+    (
+        TREEFUNC,
+        "COMPONENT_WORDS = 16",
+        "COMPONENT_WORDS = 17",
+        "a metered functional stream charges one word more than its frame",
+    ),
+    (
+        TREEFUNC,
         "meter.tick_pass()\n    meter.alloc(words)",
         "pass\n    meter.alloc(words)",
         "a tree or functional output stream stops counting its pass",

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import astuple
 
 import pytest
@@ -9,7 +10,7 @@ from romapprox.instances import DigraphInstance, GraphInstance
 from romapprox.meter import WorkspaceMeter, with_meter
 from romapprox import treefunc
 from romapprox.treefunc import (
-    MACHINE_WORDS,
+    REPLAY_PACE,
     FunctionalView,
     RootedTreeView,
     _component_rep,
@@ -149,11 +150,17 @@ def test_euler_tour_matches_probe_oracle_on_stars():
         assert len(walked) == 2 * (n - 1)
 
 
+# The charged peak of every metered tree stream: a climb's race (9 words)
+# beside the walk's 6, pinned as a number so that a miscounted frame shows.
+TREE_PEAK = 15
+
+
 def test_metered_tree_meter_counts_pinned():
     # Pinned to the walk that finds the queried vertex's parent by racing
-    # its branches, holds its parent and grandparent and replays only the
-    # queried vertex's branch; every replay also pays for the root-degree
-    # probe that tells whether its tour is empty.
+    # its branches, holds its parent and grandparent and finds each next
+    # grandparent by racing on the queried vertex's branch, skipping the
+    # child it leaves; every replay also pays for the root-degree probe
+    # that tells whether its tour is empty.
     caterpillar = GraphInstance(
         9, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 7), (3, 8), (5, 9)]
     )
@@ -162,7 +169,7 @@ def test_metered_tree_meter_counts_pinned():
             lambda meter: list(solve(caterpillar, meter=meter, metered=True))
         )
         assert got == want
-        assert astuple(snap) == (MACHINE_WORDS, 17, 160, 1)
+        assert astuple(snap) == (TREE_PEAK, 8, 130, 1)
 
 
 def test_metered_tree_scale_ladder():
@@ -174,8 +181,8 @@ def test_metered_tree_scale_ladder():
             lambda meter: list(tree_min_vc(t, meter=meter, metered=True))
         )
         assert got == list(tree_min_vc(t))
-    assert snaps[32].charged_peak == snaps[128].charged_peak == MACHINE_WORDS
-    assert snaps[128].input_accesses == 22586
+    assert snaps[32].charged_peak == snaps[128].charged_peak == TREE_PEAK
+    assert snaps[128].input_accesses == 19654
 
 
 def tree_shapes(n):
@@ -194,10 +201,10 @@ def tree_shapes(n):
 def test_metered_tree_shape_ladder():
     # The parent search settles a leaf by one read of its list, and a
     # bushy vertex by racing its short branches; on a path the whole-tree
-    # replay answers and the race adds at most about 1 / REPLAY_PACE.
+    # replay answers v's parent, and each climb reads one list.
     pinned = {
-        64: [317, 2812, 22334, 140303, 66673],
-        128: [637, 12535, 154608, 1084257, 423395],
+        64: [317, 2046, 10190, 18418, 17450],
+        128: [637, 10341, 42039, 74107, 71371],
     }
     for n, want in pinned.items():
         got = {}
@@ -207,10 +214,27 @@ def test_metered_tree_shape_ladder():
                 lambda meter: list(tree_min_vc(t, meter=meter, metered=True))
             )
             assert stream == list(tree_min_vc(t)), shape
-            assert snap.charged_peak == MACHINE_WORDS, shape
+            assert snap.charged_peak == TREE_PEAK, shape
             got[shape] = snap.input_accesses
         assert got["star centred on 2"] <= 6 * n
         assert list(got.values()) == want
+
+
+def test_metered_tree_path_and_caterpillar_are_quadratic():
+    # A climb skips the child it leaves, so on a path it reads the one
+    # list left and a query costs O(n): the stream reads at most 5 n^2
+    # (about 4.5 n^2 on the path, 2.6 n^2 on the caterpillar), where
+    # replaying the branch at each climb read 140,303 / 1,084,257 /
+    # 8,528,311 on the path at these n.
+    for n in (64, 128, 256):
+        for shape in ("path from its end", "caterpillar"):
+            t = GraphInstance(n, tree_shapes(n)[shape])
+            stream, snap = with_meter(
+                lambda meter: list(tree_min_vc(t, meter=meter, metered=True))
+            )
+            assert stream == list(tree_min_vc(t)), shape
+            assert snap.charged_peak == TREE_PEAK, shape
+            assert snap.input_accesses <= 5 * n * n, shape
 
 
 def _ancestor(parent, v, x):
@@ -220,33 +244,47 @@ def _ancestor(parent, v, x):
 
 
 def test_tree_view_out_is_the_bfs_parent_on_all_small_trees():
+    # out(x, c) on the whole tree and on every branch is x's BFS parent
+    # for every child c of x and for no child, within the bound that
+    # _race_parent states: S = R + 2 (R - 1) / REPLAY_PACE + deg(x) steps,
+    # R the view's tour up to its first arrival at x, and
+    # (Delta + 5) S + 3 deg(x) log2(S + 2) + 2 accesses.
+    climbs = above = 0
     for n in range(1, 7):
         for edges in labelled_trees(n):
             t = GraphInstance(n, edges)
             parent = oracles.bfs_parents(n, edges)
+            degree = [sum(x in e for e in edges) for x in range(n + 1)]
+            delta = max(degree)
             view = RootedTreeView(t, 1)
             assert [view.out(x) for x in range(1, n + 1)] == parent[1:]
-            for v in range(2, n + 1):
+            for v in range(1, n + 1):
                 branch = view.branch(v)
                 assert branch.mask == parent[v]
                 below = {x for x in range(1, n + 1) if _ancestor(parent, v, x)}
-                for x in below:
-                    assert branch.out(x) == parent[x]
-                # Below v, out(x) replays the branch's tour up to its first
-                # arrival at x and charges exactly that prefix, whose probes
-                # the oracle counts from the empty-tour probe on.
                 for x in below - {v}:
-                    got, snap = with_meter(
-                        lambda meter: RootedTreeView(t, v, meter, branch.mask).out(x)
-                    )
-                    walked, primitive, probes = oracles.euler_tour(
+                    _, steps, probes = oracles.euler_tour(
                         n, edges, v, branch.mask, stop=x
                     )
-                    assert walked[-1] == (got, x)
-                    assert (snap.primitive_words, snap.input_accesses) == (
-                        primitive,
-                        probes,
-                    )
+                    bound = steps + 2 * (steps - 1) / REPLAY_PACE + degree[x]
+                    for c in [None] + [c for c in below if parent[c] == x]:
+                        got, snap = with_meter(
+                            lambda meter: RootedTreeView(t, v, meter, branch.mask).out(x, c)
+                        )
+                        assert got == parent[x]
+                        assert snap.primitive_words <= bound
+                        assert snap.input_accesses <= (
+                            (delta + 5) * bound
+                            + 3 * degree[x] * math.log2(bound + 2)
+                            + 2
+                        )
+                        if c is not None and v != 1:
+                            climbs += 1
+                            above += snap.input_accesses > probes
+                            assert snap.input_accesses <= probes + 1
+    # The walk's climbs (a known child, on a branch) read more than the
+    # replay they replace in 15 of 3,150 cases, by 1 access each.
+    assert (climbs, above) == (3150, 15)
 
 
 def test_whole_tree_replay_probes_the_root_lazily():
