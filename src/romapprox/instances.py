@@ -94,6 +94,39 @@ class _Instance:
         return f"{type(self).__name__}({fields})"
 
 
+def _pair_lists(form, n, pairs, directed):
+    """Check a graph's or digraph's pair list in one pass, in order.
+
+    Raises at the first bad item, so a loader names its line: a negative
+    ``n``, an id outside 1..n, a self-loop, or a pair met before (in
+    either order unless ``directed``); ``form.what`` names the pairs.
+    Returns the pairs as a tuple, the set of their keys, and the
+    out- and in-adjacency lists as tuples in first-appearance order (one
+    list, returned twice, for an undirected graph).
+    """
+    if n < 0:
+        raise DomainError(f"vertex count must be nonnegative, got {n}")
+    what = form.what
+    out = [[] for _ in range(n + 1)]
+    into = [[] for _ in range(n + 1)] if directed else out
+    keys = set()
+    kept = []
+    for u, v in pairs:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise DomainError(f"{what} ({u}, {v}) out of range 1..{n}")
+        if u == v:
+            raise DomainError(f"self-loop at {u}")
+        key = (u, v) if directed or u < v else (v, u)
+        if key in keys:
+            raise DomainError(f"duplicate {what} ({u}, {v})")
+        keys.add(key)
+        kept.append((u, v))
+        out[u].append(v)
+        into[v].append(u)
+    out = [tuple(a) for a in out]
+    return tuple(kept), keys, out, [tuple(a) for a in into] if directed else out
+
+
 class GraphInstance(_Instance):
     """Undirected simple graph with input-ordered adjacency."""
 
@@ -101,28 +134,11 @@ class GraphInstance(_Instance):
     _format = _Format("graph", "p", ("n", "m"), "e", "edge", 2, "edges")
 
     def __init__(self, n, edges):
-        if n < 0:
-            raise DomainError(f"vertex count must be nonnegative, got {n}")
-        adj = [[] for _ in range(n + 1)]
-        seen = set()
-        pairs = []
-        # one pass in order, raising at the first bad item: a loader names its line
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"edge ({u}, {v}) out of range 1..{n}")
-            if u == v:
-                raise DomainError(f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DomainError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            pairs.append((u, v))
-            adj[u].append(v)
-            adj[v].append(u)
+        self.edges, _, self._adj, _ = _pair_lists(
+            self._format, n, edges, directed=False
+        )
         self.n = n
-        self.edges = tuple(pairs)
-        self.m = len(pairs)
-        self._adj = [tuple(a) for a in adj]
+        self.m = len(self.edges)
 
     def degree(self, v, meter=None):
         if not 1 <= v <= self.n:
@@ -157,30 +173,11 @@ class DigraphInstance(_Instance):
     _format = _Format("digraph", "q", ("n", "m"), "a", "arc", 2, "arcs")
 
     def __init__(self, n, arcs):
-        if n < 0:
-            raise DomainError(f"vertex count must be nonnegative, got {n}")
-        out = [[] for _ in range(n + 1)]
-        into = [[] for _ in range(n + 1)]
-        seen = set()
-        pairs = []
-        # one pass in order, raising at the first bad item: a loader names its line
-        for u, v in arcs:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"arc ({u}, {v}) out of range 1..{n}")
-            if u == v:
-                raise DomainError(f"self-loop at {u}")
-            if (u, v) in seen:
-                raise DomainError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            pairs.append((u, v))
-            out[u].append(v)
-            into[v].append(u)
+        self.arcs, self._arc_set, self._out, self._in = _pair_lists(
+            self._format, n, arcs, directed=True
+        )
         self.n = n
-        self.arcs = tuple(pairs)
-        self.m = len(pairs)
-        self._out = [tuple(a) for a in out]
-        self._in = [tuple(a) for a in into]
-        self._arc_set = seen
+        self.m = len(self.arcs)
 
     def out_degree(self, v):
         if not 1 <= v <= self.n:

@@ -283,21 +283,20 @@ def _is_kept(view, v):
     return False
 
 
-def _intersection_edges(f, positions):
-    """Edges (a, b), a < b, in ascending order, of the intersection graph
-    of the sets at ascending ``positions`` (vertex a is positions[a-1]).
+def _intersection_graph(f, positions):
+    """The intersection graph of the sets at ascending ``positions``
+    (vertex a is positions[a-1]), its edges (a, b), a < b, ascending.
     Pairs come from each element's set list, so the cost is the sum of
     squared multiplicities, not the square of len(positions)."""
     rank = {j: a for a, j in enumerate(positions, 1)}
-    return sorted(
-        {
-            (rank[j], rank[k])
-            for j in positions
-            for e in f.set_elements(j)
-            for k in f.sets_containing(e)
-            if k > j and k in rank
-        }
-    )
+    edges = {
+        (rank[j], rank[k])
+        for j in positions
+        for e in f.set_elements(j)
+        for k in f.sets_containing(e)
+        if k > j and k in rank
+    }
+    return GraphInstance(len(positions), sorted(edges))
 
 
 class _HsStage(StagePredicate):
@@ -334,19 +333,15 @@ class _HsStage(StagePredicate):
         own = [p for p, j in enumerate(positions, 1) if j in mine]
         if not own:
             return False
-        edges = _intersection_edges(level.base, positions)
-        igraph = GraphInstance(len(positions), edges)
+        igraph = _intersection_graph(level.base, positions)
         inner = bd_is_view(igraph, meter=meter, memoized=False)
         return any(_is_kept(inner, p) for p in own)
 
     def deletions(self, level):
         positions = self._stage_sets(level)
-        edges = _intersection_edges(level.base, positions)
-        igraph = GraphInstance(len(positions), edges)
+        igraph = _intersection_graph(level.base, positions)
         gone = set()
-        for p in bd_maximal_is(
-            igraph, meter=level.view.meter, space_audit=not level.view.memoized
-        ):
+        for p in bd_maximal_is(igraph, meter=level.view.meter):
             gone.update(level.base.set_elements(positions[p - 1]))
         return gone
 

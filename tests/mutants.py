@@ -306,6 +306,61 @@ MUTANTS = [
         "pass\n    meter.alloc(words)",
         "a tree or functional output stream stops counting its pass",
     ),
+    (
+        LAYERED,
+        "if w < v and live(depth, w) and self._kept(level, w):",
+        "if w > v and live(depth, w) and self._kept(level, w):",
+        "an audited independent stage repairs against larger ids, not smaller",
+    ),
+    (
+        LAYERED,
+        "if w < v and w in kept:",
+        "if w > v and w in kept:",
+        "a fast independent stage repairs against larger ids, not smaller",
+    ),
+    (
+        LAYERED,
+        "KEPT_FRAME_WORDS = 4",
+        "KEPT_FRAME_WORDS = 5",
+        "an audited kept query charges one word more than its frame",
+    ),
+    (
+        LAYERED,
+        'f"cover-stage-{i}", words_budget=24',
+        'f"cover-stage-{i}", words_budget=23',
+        "a cover stage declares one word less than it holds",
+    ),
+    (
+        LAYERED,
+        'f"independent-stage-{i}", words_budget=28',
+        'f"independent-stage-{i}", words_budget=27',
+        "an independent stage declares one word less than it holds",
+    ),
+    (
+        LAYERED,
+        'f"hitting-stage-{i}", words_budget=28',
+        'f"hitting-stage-{i}", words_budget=27',
+        "a hitting stage declares one word less than it holds",
+    ),
+    (
+        STAGGERED,
+        'f"peel-round-{j}", words_budget=16',
+        'f"peel-round-{j}", words_budget=15',
+        "a peeling round declares one word less than it holds",
+    ),
+    (
+        INSTANCES,
+        "key = (u, v) if directed or u < v else (v, u)",
+        "key = (u, v)",
+        "a graph accepts an edge again in the reverse order",
+    ),
+    (
+        STAGGERED,
+        "def check(self, level, e):\n        return",
+        "def check(self, level, e):\n        level.view.meter.alloc(1)\n"
+        "        level.view.meter.release(1)\n        return",
+        "an audited peeling check holds one balanced word beyond its frame",
+    ),
 ]
 
 

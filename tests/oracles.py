@@ -689,6 +689,35 @@ def random_graph_max_degree(rng, n, p, cap):
     return edges
 
 
+def random_c4free(rng, n):
+    """A random graph on n vertices with no 4-cycle subgraph, by rejection."""
+    while True:
+        edges = random_graph(rng, n, rng.uniform(0.1, 0.35))
+        if not has_c4_subgraph(n, edges):
+            return edges
+
+
+def random_regular(rng, n, d):
+    """A random d-regular graph by the pairing model, sorted (u, v) with
+    u < v, or None when no such graph exists or 300 pairings all failed."""
+    if d >= n or (n * d) % 2:
+        return None
+    for _ in range(300):
+        stubs = [v for v in range(1, n + 1) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                ok = False
+                break
+            edges.add((min(u, v), max(u, v)))
+        if ok:
+            return sorted(edges)
+    return None
+
+
 def random_family(rng, n, m, d):
     sets = []
     for _ in range(m):

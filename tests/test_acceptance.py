@@ -388,19 +388,12 @@ def test_criterion_09_del_pi_residuals():
     _verdict("9", bad == 0, f"({bad} pattern survivals in 700 runs)")
 
 
-def _random_c4free(rng, n):
-    while True:
-        edges = oracles.random_graph(rng, n, rng.uniform(0.1, 0.35))
-        if not oracles.has_c4_subgraph(n, edges):
-            return edges
-
-
 def test_criterion_10a_c4free_ds():
     rng = oracles.make_rng("acceptance-10a")
     bad = 0
     for _ in range(200):
         n = rng.randint(1, 12)
-        edges = _random_c4free(rng, n)
+        edges = oracles.random_c4free(rng, n)
         g = GraphInstance(n, edges)
         k = rng.randint(0, 4)
         got = c4free_ds_bounded_k(g, k)
@@ -437,25 +430,6 @@ def test_criterion_10b_degenerate_ds():
     _verdict("10b", bad == 0, f"({bad} violations in 200 instances)")
 
 
-def _pairing_regular(rng, n, d):
-    if d >= n or (n * d) % 2:
-        return None
-    for _ in range(300):
-        stubs = [v for v in range(1, n + 1) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return sorted(edges)
-    return None
-
-
 def test_criterion_10c_regular_ds():
     named = (
         (GraphInstance(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]), 2),
@@ -484,7 +458,7 @@ def test_criterion_10c_regular_ds():
     while done < 100:
         n = rng.randint(1, 16)
         d = rng.randint(0, min(4, n - 1) if n > 1 else 0)
-        edges = _pairing_regular(rng, n, d)
+        edges = oracles.random_regular(rng, n, d)
         if edges is None:
             continue
         done += 1

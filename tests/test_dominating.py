@@ -30,32 +30,6 @@ PETERSEN = GraphInstance(
 )
 
 
-def random_c4free(rng, n):
-    while True:
-        edges = oracles.random_graph(rng, n, rng.uniform(0.1, 0.35))
-        if not oracles.has_c4_subgraph(n, edges):
-            return edges
-
-
-def random_regular(rng, n, d):
-    if d >= n or (n * d) % 2:
-        return None
-    for _ in range(300):
-        stubs = [v for v in range(1, n + 1) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return sorted(edges)
-    return None
-
-
 def test_c4free_frozen():
     assert c4free_ds_bounded_k(STAR6, 2) == [1]
     assert c4free_ds_bounded_k(PATH5, 1) is None
@@ -75,7 +49,7 @@ def test_c4free_random():
     rng = oracles.make_rng("c4free-ds")
     for _ in range(300):
         n = rng.randint(1, 12)
-        edges = random_c4free(rng, n)
+        edges = oracles.random_c4free(rng, n)
         g = GraphInstance(n, edges)
         k = rng.randint(0, 4)
         got = c4free_ds_bounded_k(g, k)
@@ -90,7 +64,7 @@ def test_c4free_approx_random():
     rng = oracles.make_rng("c4free-approx")
     for _ in range(150):
         n = rng.randint(1, 12)
-        edges = random_c4free(rng, n)
+        edges = oracles.random_c4free(rng, n)
         out = c4free_ds_approx(GraphInstance(n, edges))
         assert oracles.is_dominating(n, edges, set(out))
 
@@ -256,7 +230,7 @@ def test_regular_random():
     while done < 100:
         n = rng.randint(1, 16)
         d = rng.randint(0, min(4, n - 1) if n > 1 else 0)
-        edges = random_regular(rng, n, d)
+        edges = oracles.random_regular(rng, n, d)
         if edges is None:
             continue
         done += 1
@@ -273,7 +247,7 @@ def regular_sweep_cases():
     while done < 60:
         n = rng.choice((2, 3, 5, 7, 11, 13, 17, 19)) if done % 2 else rng.randint(1, 20)
         d = rng.randint(0, min(6, n - 1))
-        edges = random_regular(rng, n, d)
+        edges = oracles.random_regular(rng, n, d)
         if edges is None:
             continue
         done += 1

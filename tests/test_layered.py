@@ -422,16 +422,17 @@ def _all_pairs_edges(f, positions):
 
 
 def test_stage_intersection_graph_matches_all_pairs(monkeypatch):
-    real = layered._intersection_edges
+    real = layered._intersection_graph
     calls = []
 
     def spy(f, positions):
         got = real(f, positions)
-        assert got == _all_pairs_edges(f, positions)
-        calls.append(len(got))
+        assert got.n == len(positions)
+        assert list(got.edges) == _all_pairs_edges(f, positions)
+        calls.append(got.m)
         return got
 
-    monkeypatch.setattr(layered, "_intersection_edges", spy)
+    monkeypatch.setattr(layered, "_intersection_graph", spy)
     rng = oracles.make_rng(107)
     for _ in range(30):
         n = rng.randint(1, 9)
@@ -448,7 +449,7 @@ def test_stage_intersection_graph_matches_all_pairs(monkeypatch):
         for space_audit in (False, True):
             list(bounded_mult_hs(f, space_audit=space_audit))
         positions = list(range(1, f.m + 1))
-        assert real(f, positions) == _all_pairs_edges(f, positions)
+        assert list(real(f, positions).edges) == _all_pairs_edges(f, positions)
     assert calls and max(calls) > 0
 
 
