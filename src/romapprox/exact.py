@@ -188,28 +188,44 @@ def degeneracy_order(g):
     """Smallest-last peel order and the degeneracy it certifies.
 
     Each step removes the live vertex with the least ``(degree, id)``.
-    A heap gets a new entry whenever a vertex's degree drops; degrees
-    only fall, so a vertex's older entries sort after its current one
-    and surface only once it is gone.  The order costs O((n + m) log n).
+    Vertices wait in one heap of ids per degree; each bucket starts as
+    ascending ids, already a heap, and a vertex whose degree drops is
+    pushed onto its new degree's bucket.  ``low`` is the least degree
+    whose bucket may hold a live vertex: a step pops that bucket's least
+    id, skipping removed vertices' entries, and ``low`` steps down when a
+    neighbour's degree falls below it.  A vertex's older entries sit in
+    higher buckets and surface only once it is gone.  ``low`` rises at
+    most n + (largest degree) times in all, and each of the m degree
+    drops is one push, so the order costs O(n + m log n).
     """
-    deg = [0] + [g.degree(v) for v in range(1, g.n + 1)]
-    heap = [(deg[v], v) for v in range(1, g.n + 1)]
-    heapq.heapify(heap)
-    dead = [False] * (g.n + 1)
+    adj = g.adjacency()
+    n = g.n
+    deg = list(map(len, adj))
+    buckets = [[] for _ in range(max(deg) + 1)]
+    for v in range(1, n + 1):
+        buckets[deg[v]].append(v)
+    dead = [False] * (n + 1)
     order = []
-    best = 0
-    while heap:
-        dv, v = heapq.heappop(heap)
+    best = low = 0
+    while len(order) < n:
+        bucket = buckets[low]
+        if not bucket:
+            low += 1
+            continue
+        v = heapq.heappop(bucket)
         if dead[v]:
             continue
-        if dv > best:
-            best = dv
+        if low > best:
+            best = low
         order.append(v)
         dead[v] = True
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if not dead[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                dw = deg[w] - 1
+                deg[w] = dw
+                heapq.heappush(buckets[dw], w)
+                if dw < low:
+                    low = dw
     return order, best
 
 

@@ -101,8 +101,9 @@ def _pair_lists(form, n, pairs, directed):
     ``n``, an id outside 1..n, a self-loop, or a pair met before (in
     either order unless ``directed``); ``form.what`` names the pairs.
     Returns the pairs as a tuple, the set of their keys, and the
-    out- and in-adjacency lists as tuples in first-appearance order (one
-    list, returned twice, for an undirected graph).
+    out- and in-adjacency as tuples of tuples in first-appearance order,
+    indexed by id with entry 0 empty (one adjacency, returned twice, for
+    an undirected graph).
     """
     if n < 0:
         raise DomainError(f"vertex count must be nonnegative, got {n}")
@@ -123,8 +124,8 @@ def _pair_lists(form, n, pairs, directed):
         kept.append((u, v))
         out[u].append(v)
         into[v].append(u)
-    out = [tuple(a) for a in out]
-    return tuple(kept), keys, out, [tuple(a) for a in into] if directed else out
+    out = tuple(map(tuple, out))
+    return tuple(kept), keys, out, tuple(map(tuple, into)) if directed else out
 
 
 class GraphInstance(_Instance):
@@ -153,6 +154,15 @@ class GraphInstance(_Instance):
         if meter is not None:
             meter.access(len(self._adj[v]))
         return self._adj[v]
+
+    def adjacency(self, meter=None):
+        """Every adjacency list at once: a tuple indexed by id whose entry
+        v is ``neighbors(v)`` and whose entry 0 is ``()``.  A meter is
+        charged the 2m words of all the lists in one call, what reading
+        each list through ``neighbors`` would charge."""
+        if meter is not None:
+            meter.access(2 * self.m)
+        return self._adj
 
     def has_edge(self, u, v):
         if not (1 <= u <= self.n and 1 <= v <= self.n):

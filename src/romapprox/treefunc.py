@@ -518,8 +518,9 @@ def _tree_cover_flags(tree):
     parent = [0] * (n + 1)
     parent[1] = 1
     order = [1]
+    adj = tree.adjacency()
     for v in order:
-        for w in tree.neighbors(v):
+        for w in adj[v]:
             if not parent[w]:
                 parent[w] = v
                 order.append(w)

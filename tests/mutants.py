@@ -48,6 +48,8 @@ KERNELS = "src/romapprox/kernels.py"
 TREEFUNC = "src/romapprox/treefunc.py"
 HASHING = "src/romapprox/hashing.py"
 INSTANCES = "src/romapprox/instances.py"
+DOMINATING = "src/romapprox/dominating.py"
+EXACT = "src/romapprox/exact.py"
 
 MUTANTS = [
     (
@@ -179,6 +181,24 @@ MUTANTS = [
         "meter.access(len(self._adj[v]))",
         "pass",
         "a metered adjacency list is read uncharged",
+    ),
+    (
+        INSTANCES,
+        "meter.access(2 * self.m)",
+        "meter.access(self.m)",
+        "a bulk adjacency read charges each edge's two list words once",
+    ),
+    (
+        DOMINATING,
+        "len(inside) <= 2 * d",
+        "len(inside) < 2 * d",
+        "a peeling round skips undominated vertices with exactly 2d neighbours in w_star",
+    ),
+    (
+        EXACT,
+        "if dw < low:\n                    low = dw",
+        "if dw < low:\n                    pass",
+        "a degeneracy peel stays in its bucket when a neighbour's degree falls below it",
     ),
     (
         INSTANCES,

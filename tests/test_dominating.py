@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from dataclasses import astuple
 
 import pytest
 
 import oracles
+from romapprox.cli import _gen_degenerate
 from romapprox.dominating import (
     c4free_ds_approx,
     c4free_ds_bounded_k,
@@ -195,6 +197,16 @@ def test_dgn_modes_agree():
             parts = fast[0]
             multi_round += isinstance(parts[-1], tuple) and len(parts) >= 3
     assert multi_round > 0
+
+
+def test_dgn_meter_pinned():
+    # (charged_peak, primitive_words, input_accesses, pass_estimate): two
+    # partitions, each one 2m-word read of the 94-edge graph's adjacency
+    g = _gen_degenerate(random.Random(0), 64, 3)
+    for d in (3, None):
+        out, snap = with_meter(lambda m: dgn_dom_set(g, d, m))
+        assert out == [v for v in range(1, 65) if v != 18]
+        assert astuple(snap) == (0, 0, 376, 0)
 
 
 def test_dgn_round_limit():

@@ -251,6 +251,57 @@ def test_degeneracy_order_matches_oracle():
         )
 
 
+def wheel(n):
+    """Hub 1 joined to every vertex of the cycle 2..n."""
+    rim = [(v, v + 1) for v in range(2, n)] + [(n, 2)]
+    return [(1, v) for v in range(2, n + 1)] + rim
+
+
+def complete_bipartite(a, b):
+    return [(u, a + v) for u in range(1, a + 1) for v in range(1, b + 1)]
+
+
+def clique_with_tail(k, tail):
+    """K_k on 1..k and the path k, k+1, ..., k+tail hanging off it."""
+    return list(itertools.combinations(range(1, k + 1), 2)) + [
+        (v, v + 1) for v in range(k, k + tail)
+    ]
+
+
+def hub_graph(rng, hubs, leaves):
+    """Leaves 1..leaves, each joined to two of the hubs after them.
+
+    The leaves peel at degree 2 while the hubs' degrees fall past that
+    bucket, to 1 and 0.
+    """
+    edges = []
+    for v in range(1, leaves + 1):
+        for h in rng.sample(range(leaves + 1, leaves + hubs + 1), 2):
+            edges.append((v, h))
+    return edges
+
+
+def test_degeneracy_order_matches_oracle_on_structured_shapes():
+    rng = oracles.make_rng("degeneracy-shapes")
+    shapes = [(n, wheel(n), 3) for n in (4, 5, 17, 200)]
+    shapes += [
+        (a + b, complete_bipartite(a, b), min(a, b))
+        for a, b in ((1, 1), (2, 7), (3, 3), (5, 40), (12, 188))
+    ]
+    shapes += [
+        (k + t, clique_with_tail(k, t), k - 1) for k, t in ((3, 1), (6, 20), (15, 185))
+    ]
+    shapes += [(h + v, hub_graph(rng, h, v), 2) for h, v in ((2, 10), (5, 60), (8, 192))]
+    for n, edges, value in shapes:
+        ids = list(range(1, n + 1))
+        rng.shuffle(ids)
+        relabelled = [(ids[u - 1], ids[v - 1]) for u, v in edges]
+        for es in (edges, relabelled):
+            got = degeneracy_order(GraphInstance(n, es))
+            assert got == oracles.degeneracy_order(n, es)
+            assert got[1] == value
+
+
 def test_degeneracy_long_path_and_star():
     n = 20000
     assert degeneracy_order(path(n)) == (list(range(1, n + 1)), 1)

@@ -209,6 +209,32 @@ def test_metered_accessors_charge_input_accesses():
     assert m.charged_peak == 0
 
 
+def test_adjacency_is_every_neighbor_list_indexed_by_id():
+    graphs = (
+        GraphInstance(0, []),
+        GraphInstance(1, []),
+        load_graph(PATH4),
+        GraphInstance(5, [(5, 1), (2, 5), (3, 1), (4, 2)]),
+    )
+    for g in graphs:
+        adj = g.adjacency()
+        assert type(adj) is tuple and len(adj) == g.n + 1
+        assert adj[0] == ()
+        assert all(adj[v] == g.neighbors(v) for v in range(1, g.n + 1))
+        assert all(type(a) is tuple for a in adj)
+
+
+def test_adjacency_charges_two_m_in_one_call():
+    g = GraphInstance(5, [(5, 1), (2, 5), (3, 1), (4, 2)])
+    m = WorkspaceMeter()
+    g.adjacency(m)
+    assert (m.input_accesses, m.charged_peak) == (2 * g.m, 0)
+    g.adjacency()
+    assert m.input_accesses == 8
+    GraphInstance(3, []).adjacency(m)
+    assert m.input_accesses == 8
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=9))
